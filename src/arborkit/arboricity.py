@@ -9,6 +9,12 @@ makes the "-1" in the denominator exact rather than approximate). Every step
 either certifies that no subset beats lambda or produces a strictly denser
 subset, so the candidate densities visited strictly increase and the loop
 ends after at most the number of distinct densities.
+
+The threshold test gamma_f <= p/q peels first: greedy min-degree peeling
+(Charikar 2000) walks a chain of ever smaller vertex sets, and the test
+rejects at once if one of them has q |E(S)| > p (|S| - 1), checked exactly
+in integers. Only when no peeled set is that dense does it solve min cuts,
+so acceptance is always decided by a flow.
 """
 
 from __future__ import annotations
@@ -134,7 +140,8 @@ def fractional_arboricity(graph: Graph, mode: str = "exact") -> FracArbResult:
             return FracArbResult(value=lam, witness_vertices=witness)
         new_lam = _density(graph, subset)
         # candidate densities must strictly increase or the search is wrong
-        assert new_lam > lam, "internal error: density did not improve"
+        if new_lam <= lam:
+            raise AssertionError("internal error: density did not improve")
         lam = new_lam
         witness = subset
 
@@ -165,8 +172,38 @@ def _frac_arboricity_brute(graph: Graph) -> FracArbResult:
     return FracArbResult(value=best, witness_vertices=best_set)
 
 
+def _peeling_exceeds(graph: Graph, p: int, q: int) -> bool:
+    """True when a set left by min-degree peeling has q |E(S)| > p (|S| - 1).
+
+    Each set is checked exactly, so True proves gamma_f > p / q; False
+    decides nothing. Parallel edges count with multiplicity; the graph must
+    be loop-free.
+    """
+    n = graph.vertex_count
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in graph.endpoints:
+        adj[u].append(v)
+        adj[v].append(u)
+    deg = [len(nbrs) for nbrs in adj]
+    alive = set(range(n))
+    inside = graph.edge_count
+    for size in range(n, 1, -1):
+        if q * inside > p * (size - 1):
+            return True
+        low = min(alive, key=deg.__getitem__)
+        alive.remove(low)
+        inside -= deg[low]
+        for w in adj[low]:
+            deg[w] -= 1
+    return False
+
+
 def fractional_arboricity_at_most(graph: Graph, bound) -> bool:
-    """Exact threshold test gamma_f(G) <= bound with a single density step."""
+    """Exact threshold test gamma_f(G) <= bound.
+
+    A peeled witness set can only reject; otherwise a single density step
+    of min cuts decides.
+    """
     if is_infinite(bound):
         return True
     bound = Fraction(bound)
@@ -175,6 +212,8 @@ def fractional_arboricity_at_most(graph: Graph, bound) -> bool:
     if graph.edge_count == 0:
         return Fraction(0) <= bound
     if bound <= 0:
+        return False
+    if _peeling_exceeds(graph, bound.numerator, bound.denominator):
         return False
     return _improving_subset(graph, bound, stop_at_first=True) is None
 
@@ -210,7 +249,8 @@ def _witness_from_violation(graph: Graph, k: int) -> frozenset[int]:
     component's density then has ceiling exactly k.
     """
     result = partition_into_forests(graph, k - 1)
-    assert result.violation is not None
+    if result.violation is None:
+        raise AssertionError("internal error: no violating set below the arboricity")
     sub = edge_induced_subgraph(graph, result.violation)
     comp_of: dict[int, int] = {}
     for idx, comp in enumerate(components(sub.graph)):

@@ -3,7 +3,9 @@
 Rejection sampling on purpose: a constructive generator would bake the
 decomposition into the instance and make downstream success trivial. Draw
 floor(bound * (n-1)) edges uniformly, keep the graph iff the exact
-threshold test accepts it.
+threshold test accepts it. That test peels first and rejects only on a
+witness set S with q |E(S)| > p (|S| - 1) for bound p/q; acceptance is
+always decided by a flow, so peeling changes no decision.
 
 The stream is splitmix64 so instances are portable: state advances by the
 64-bit constant 0x9E3779B97F4A7C15 and each output is the finalizer

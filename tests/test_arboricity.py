@@ -5,10 +5,12 @@ import pytest
 from arborkit import (
     DeskScaleExceeded,
     Graph,
+    SplitMix64,
     arboricity,
     arboricity_matches_ceiling,
     check_subgraph_bound,
     cycle_rank,
+    derive_seed,
     fractional_arboricity,
     fractional_arboricity_at_most,
     is_infinite,
@@ -23,6 +25,7 @@ from helpers import (
     petersen,
     star,
 )
+from oracles import brute_frac_arboricity
 
 
 def density(graph, verts):
@@ -87,6 +90,57 @@ def test_at_most_threshold():
     assert not fractional_arboricity_at_most(Graph(1, ((0, 0),)), 100)
     assert fractional_arboricity_at_most(Graph(3, ()), 0)
     assert not fractional_arboricity_at_most(cycle(3), 0)
+
+
+THEOREM5_BOUNDS = tuple(k + Fraction(1, 3 * k + 2) for k in (1, 2))
+COMPONENTS_BASE_SEED = 424242
+
+
+def _components_multigraph(seed):
+    """A bundle of parallel edges, a larger component of higher degree but
+    lower density, a small third component and up to two isolated vertices,
+    shuffled. Min-degree peeling removes the bundle early, so on some of
+    them (six of the 40 drawn below) the densest part is not among the sets
+    peeling leaves and only the flow can reject."""
+    rng = SplitMix64(seed)
+    sizes = (2, 4 + rng.below(3), 2 + rng.below(3))
+    counts = (2 + rng.below(4), 2 * sizes[1] + rng.below(sizes[1]), 1 + rng.below(2 * sizes[2]))
+    n = sum(sizes) + rng.below(3)
+    labels = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        labels[i], labels[j] = labels[j], labels[i]
+    edges = []
+    start = 0
+    for size, count in zip(sizes, counts):
+        for _ in range(count):
+            u = rng.below(size)
+            v = rng.below(size - 1)
+            if v >= u:
+                v += 1
+            a, b = labels[start + u], labels[start + v]
+            edges.append((min(a, b), max(a, b)))
+        start += size
+    return Graph(n, tuple(sorted(edges)))
+
+
+def _assert_threshold_matches_oracle(graph):
+    gf = brute_frac_arboricity(graph)
+    eps = Fraction(1, 1000)
+    for bound in (gf, gf - eps, gf + eps) + THEOREM5_BOUNDS:
+        assert fractional_arboricity_at_most(graph, bound) == (gf <= bound), (graph, bound)
+
+
+def test_threshold_matches_oracle_on_atlas(atlas_corpus):
+    for g in atlas_corpus:
+        _assert_threshold_matches_oracle(g)
+
+
+def test_threshold_matches_oracle_on_component_multigraphs():
+    for i in range(40):
+        _assert_threshold_matches_oracle(
+            _components_multigraph(derive_seed(COMPONENTS_BASE_SEED, i))
+        )
 
 
 def test_arboricity_frozen_values():

@@ -1,3 +1,5 @@
+import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -107,3 +109,34 @@ def test_rejection_resumes_the_stream():
     spec = GenSpec(n=6, target_bound=Fraction(6, 5), seed=0)
     g = generate(spec)
     assert fractional_arboricity_at_most(g, Fraction(6, 5))
+
+
+# SHA-256 over the endpoints of every graph the theorem5 grid below
+# generates. It pins each accept or reject decision of the sampler: a faster
+# threshold test may make rejection cheaper but must not move it.
+STREAM_DIGEST = "bf85fbf1d1472d72012e13f8c96df8ea1519021597a0b2c4baba0c52cb08de30"
+
+
+def test_generator_stream_is_pinned():
+    digest = hashlib.sha256()
+    for allow_parallel in (False, True):
+        for k in (1, 2):
+            bound = k + Fraction(1, 3 * k + 2)
+            for n in range(6, 11):
+                for seed in range(20):
+                    spec = GenSpec(n=n, target_bound=bound, allow_parallel=allow_parallel, seed=seed)
+                    digest.update(repr(generate(spec).endpoints).encode())
+    assert digest.hexdigest() == STREAM_DIGEST
+
+
+def test_budget_exhaustion_is_pinned():
+    # theorem5 k=1, n=11, seed 0 accepts its 490th draw and no earlier one
+    spec = GenSpec(n=11, target_bound=Fraction(6, 5), seed=0, max_rejections=489)
+    with pytest.raises(GenerationError) as err:
+        generate(spec)
+    assert err.value.attempts == 489
+    g = generate(replace(spec, max_rejections=490))
+    assert g.endpoints == (
+        (0, 3), (0, 10), (1, 7), (1, 8), (2, 4), (2, 8),
+        (3, 4), (4, 6), (5, 6), (5, 9), (7, 9), (7, 10),
+    )
