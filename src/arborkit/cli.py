@@ -159,11 +159,35 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(_is_int(e) for e in x)
+
+
+def _check_decomposition_doc(doc) -> None:
+    """Schema check for verify: a malformed document is a usage error."""
+    if not isinstance(doc, dict) or "forests" not in doc:
+        raise ValueError("decomposition document needs a 'forests' array")
+    forests = doc["forests"]
+    if not isinstance(forests, list) or not all(_is_int_list(f) for f in forests):
+        raise ValueError("decomposition 'forests' must be a list of lists of edge ids")
+    remainder = doc.get("remainder")
+    if remainder is not None and not _is_int_list(remainder):
+        raise ValueError("decomposition 'remainder' must be a list of edge ids or null")
+    d = doc.get("d")
+    if d is not None and not _is_int(d):
+        raise ValueError("decomposition 'd' must be an integer or null")
+    if not isinstance(doc.get("kind", "matching"), str):
+        raise ValueError("decomposition 'kind' must be a string")
+
+
 def cmd_verify(args) -> int:
     graph = _load_graph(args.file)
     doc = json.loads(Path(args.decomposition).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict) or "forests" not in doc:
-        raise ValueError("decomposition document needs a 'forests' array")
+    _check_decomposition_doc(doc)
     forests = tuple(frozenset(f) for f in doc["forests"])
     if doc.get("remainder") is not None:
         remainder = frozenset(doc["remainder"])

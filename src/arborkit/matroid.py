@@ -15,8 +15,12 @@ e. When the search exhausts without reaching a slot, the set L of reached
 elements satisfies r(L) = |F_j intersect L| for every j, which yields
 |L| > k * r(L) with e uncovered, a certificate that L fits in no k forests.
 
-A brute-force mode (minimum over T of |X - T| + k * r(T)) is kept as the
-oracle the tests compare against; the augmenting route is the primary path.
+The union rank of every edge subset (union_rank_table) comes from one
+depth-first walk over the subsets with a single mutable partition: each
+subset costs one augmenting insertion, and an undo log of the moves made
+rolls it back before the next sibling, so the partition state stays O(m)
+next to the 2^m-entry rank list. The brute-force minimum over T of
+|X - T| + k * r(T) lives with the test oracles, not here.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .graphs import Graph, check_edge_subset, _UnionFind
 from .limits import (
     DeskScaleExceeded,
     FLAT_ENUM_DEFAULT,
-    UNION_BRUTE_DEFAULT,
     UNION_TABLE_HARD_CAP,
     check_gate,
 )
@@ -209,6 +212,40 @@ class _ForestPartition:
                 raise AssertionError(f"internal error: forest {j} acquired a cycle")
 
 
+class _UndoPartition(_ForestPartition):
+    """A _ForestPartition whose augmentations can be rolled back.
+
+    Every move of an augmenting chain is logged as (edge, previous owner,
+    new owner), with None as the previous owner of the inserted edge;
+    undo(mark) reverses the moves logged after position mark, newest first.
+    The plain class keeps no log, so callers that never undo pay nothing.
+    """
+
+    def __init__(self, graph: Graph, k: int):
+        super().__init__(graph, k)
+        self.log: list[tuple[int, int | None, int]] = []
+
+    def _apply_chain(self, parent: dict[int, int | None], last: int, slot: int) -> None:
+        # the same walk as the base class, from the slot end back to the new
+        # element, recording each move before the base class makes it
+        x, new = last, slot
+        while True:
+            prev = self.owner.get(x)
+            self.log.append((x, prev, new))
+            if prev is None:
+                break
+            x, new = parent[x], prev
+        super()._apply_chain(parent, last, slot)
+
+    def undo(self, mark: int) -> None:
+        log = self.log
+        while len(log) > mark:
+            eid, prev, new = log.pop()
+            self._remove(new, eid)
+            if prev is not None:
+                self._add(prev, eid)
+
+
 def matroid_partition(
     graph: Graph, k: int, subset: Iterable[int]
 ) -> tuple[_ForestPartition, frozenset[int], frozenset[int] | None]:
@@ -230,32 +267,13 @@ def matroid_partition(
     return part, frozenset(uncovered), violation
 
 
-def union_rank(graph: Graph, k: int, subset: Iterable[int], method: str = "augment") -> int:
+def union_rank(graph: Graph, k: int, subset: Iterable[int]) -> int:
     """Rank of the subset in the k-fold union of the cycle matroid."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     edges = check_edge_subset(graph, subset)
-    if method == "augment":
-        _, uncovered, _ = matroid_partition(graph, k, edges)
-        return len(edges) - len(uncovered)
-    if method == "brute":
-        return _union_rank_brute(graph, k, edges)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _union_rank_brute(graph: Graph, k: int, edges: frozenset[int]) -> int:
-    check_gate(len(edges), UNION_BRUTE_DEFAULT, "union_rank brute force")
-    items = sorted(edges)
-    size = len(items)
-    ranks = {}
-    best = size
-    for mask in range(1 << size):
-        members = [items[i] for i in range(size) if mask >> i & 1]
-        ranks[mask] = cycle_rank(graph, members)
-        value = (size - len(members)) + k * ranks[mask]
-        if value < best:
-            best = value
-    return best
+    _, uncovered, _ = matroid_partition(graph, k, edges)
+    return len(edges) - len(uncovered)
 
 
 def union_oracle(graph: Graph, k: int) -> RankOracle:
@@ -265,25 +283,33 @@ def union_oracle(graph: Graph, k: int) -> RankOracle:
 def union_rank_table(graph: Graph, k: int) -> list[int]:
     """union_rank for every subset, indexed by edge bitmask.
 
-    Each subset reuses the stored optimal partition of the subset without its
-    lowest element and performs one augmenting insertion, so the whole table
-    costs one augmentation per subset.
+    The parent of a subset is the subset without its lowest edge, so the
+    children of a mask are mask | 1 << e for every edge e below its lowest
+    one. A single depth-first walk over that tree keeps one mutable forest
+    partition, optimal for the current mask: a child costs one augmenting
+    insertion of e, and after the child's subtree the insertion's moves are
+    rolled back from the undo log. Besides the 2^m-entry rank list the walk
+    holds O(m) partition state and an undo log with one augmenting chain
+    per level of the walk.
     """
     m = graph.edge_count
     if m > UNION_TABLE_HARD_CAP:
         raise DeskScaleExceeded(f"union_rank_table needs |E| <= {UNION_TABLE_HARD_CAP}, got {m}")
     ranks = [0] * (1 << m)
-    owners: list[tuple[tuple[int, int], ...]] = [()] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        e = low.bit_length() - 1
-        prev = mask ^ low
-        part = _ForestPartition(graph, k)
-        for eid, j in owners[prev]:
-            part._add(j, eid)
-        ok, _ = part.try_insert(e)
-        ranks[mask] = ranks[prev] + (1 if ok else 0)
-        owners[mask] = tuple(sorted(part.owner.items()))
+    part = _UndoPartition(graph, k)
+
+    def walk(mask: int, below: int) -> None:
+        rank = ranks[mask]
+        for e in range(below):
+            mark = len(part.log)
+            ok, _ = part.try_insert(e)
+            child = mask | 1 << e
+            ranks[child] = rank + 1 if ok else rank
+            if e:
+                walk(child, e)
+            part.undo(mark)
+
+    walk(0, m)
     return ranks
 
 

@@ -51,6 +51,17 @@ def brute_frac_arboricity(graph):
     return best
 
 
+def brute_union_rank(graph, k, edges):
+    """Rank of the edges in the k-fold union of the cycle matroid, as
+    min over T within X of |X - T| + k * r(T) (the matroid union theorem)."""
+    items = sorted(edges)
+    best = len(items)
+    for size in range(len(items) + 1):
+        for combo in combinations(items, size):
+            best = min(best, len(items) - size + k * subgraph_rank(graph, combo))
+    return best
+
+
 def dual_rank_via_bases(rank_fn, ground, subset):
     """max |X \\ B| over all bases B, the textbook dual-rank formula."""
     ground = sorted(ground)

@@ -119,6 +119,24 @@ def test_verify_rejects_bad_document(graph_file, tmp_path, capsys):
     assert main(["verify", f, "--k", "1", "--decomposition", str(dec_path)]) == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"forests": 5},
+    {"forests": [[0]], "d": "x", "kind": "forest"},
+    {"forests": [0, 1]},
+    {"forests": [["0"]]},
+    {"forests": [[0]], "remainder": 3},
+    {"forests": [[0]], "remainder": [1.5]},
+    {"forests": [[True]]},
+    {"forests": [[0]], "kind": 7},
+])
+def test_verify_malformed_document_is_usage_error(graph_file, tmp_path, capsys, doc):
+    f = graph_file("tri.txt", cycle(3))
+    dec_path = tmp_path / "dec.json"
+    dec_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", f, "--k", "1", "--decomposition", str(dec_path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_decompose_bounded_flags(graph_file, capsys):
     f = graph_file("c6.txt", cycle(6))
     assert main(["decompose", f, "--k", "1", "--remainder", "forest", "--d", "2"]) == 0

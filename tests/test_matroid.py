@@ -19,7 +19,7 @@ from arborkit import (
     union_rank_table,
 )
 from helpers import complete_graph, cycle, doubled_cycle, path
-from oracles import dual_rank_via_bases, subgraph_rank
+from oracles import brute_union_rank, dual_rank_via_bases, subgraph_rank
 
 
 def powerset(items):
@@ -171,7 +171,27 @@ def test_union_rank_augment_equals_brute():
     for g in graphs:
         for k in (1, 2, 3):
             for subset in powerset(g.edge_ids()):
-                assert union_rank(g, k, subset) == union_rank(g, k, subset, method="brute")
+                assert union_rank(g, k, subset) == brute_union_rank(g, k, subset)
+
+
+def test_union_rank_table_matches_oracle():
+    graphs = [
+        Graph(0, ()),
+        Graph(1, ((0, 0),)),
+        Graph(3, ((0, 0), (0, 1), (0, 1), (1, 2), (1, 2), (1, 2), (2, 0), (2, 2))),
+        # 10 edges: K4, two parallel copies, a pendant edge, a loop
+        Graph(5, (
+            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+            (0, 1), (2, 3), (3, 4), (4, 4),
+        )),
+    ]
+    for g in graphs:
+        for k in range(4):
+            table = union_rank_table(g, k)
+            assert len(table) == 1 << g.edge_count
+            for mask, got in enumerate(table):
+                subset = [e for e in range(g.edge_count) if mask >> e & 1]
+                assert got == brute_union_rank(g, k, subset), (g.endpoints, k, subset)
 
 
 def test_union_rank_table_matches_pointwise():
@@ -188,11 +208,6 @@ def test_union_rank_table_hard_cap():
     g = complete_graph(7)  # 21 edges
     with pytest.raises(DeskScaleExceeded):
         union_rank_table(g, 1)
-
-
-def test_union_rank_unknown_method():
-    with pytest.raises(ValueError):
-        union_rank(cycle(3), 1, {0}, method="guess")
 
 
 def test_dual_rank_against_basis_formula():
