@@ -180,8 +180,11 @@ def _check_decomposition_doc(doc) -> None:
     d = doc.get("d")
     if d is not None and not _is_int(d):
         raise ValueError("decomposition 'd' must be an integer or null")
-    if not isinstance(doc.get("kind", "matching"), str):
-        raise ValueError("decomposition 'kind' must be a string")
+    kind = doc.get("kind", "matching")
+    if kind not in REMAINDER_KINDS:
+        raise ValueError(
+            f"decomposition 'kind' must be one of {', '.join(REMAINDER_KINDS)}, got {kind!r}"
+        )
 
 
 def cmd_verify(args) -> int:

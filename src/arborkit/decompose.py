@@ -4,9 +4,10 @@ decompose_forests_matching searches maximal matchings only: if removing some
 matching leaves k forests, removing any maximal matching containing it does
 too, so the restriction loses nothing. The bounded variant assigns edges one
 at a time to the forest side or the remainder and prunes with the exact
-necessary condition that the forest side stays coverable by k forests
-(maintained incrementally by the same augmenting structure the matroid layer
-uses).
+necessary condition that the forest side stays coverable by k forests,
+maintained incrementally by the matroid layer's one partition engine
+(_ForestPartition): each forest-side assignment is one augmenting insertion,
+and backtracking restores the partition to a mark in its undo log.
 
 A None return means EXHAUSTED: the whole search space was enumerated and no
 decomposition exists at this (k, remainder) combination. That is a statement
@@ -221,13 +222,13 @@ def decompose_forests_bounded(graph: Graph, k: int, d: int, kind: str) -> Decomp
             )
         e = order[idx]
         u, v = graph.endpoints[e]
-        snap = part.snapshot()
+        mark = part.snapshot()
         ok, _ = part.try_insert(e)
         if ok:
             found = assign(idx + 1)
             if found is not None:
                 return found
-            part.restore(snap)
+            part.restore(mark)
         if deg_rem[u] < d and deg_rem[v] < d and (kind == "graph" or not remainder_cycle(e)):
             remainder.append(e)
             deg_rem[u] += 1

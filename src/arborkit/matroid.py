@@ -15,12 +15,12 @@ e. When the search exhausts without reaching a slot, the set L of reached
 elements satisfies r(L) = |F_j intersect L| for every j, which yields
 |L| > k * r(L) with e uncovered, a certificate that L fits in no k forests.
 
-The union rank of every edge subset (union_rank_table) comes from one
-depth-first walk over the subsets with a single mutable partition: each
-subset costs one augmenting insertion, and an undo log of the moves made
-rolls it back before the next sibling, so the partition state stays O(m)
-next to the 2^m-entry rank list. The brute-force minimum over T of
-|X - T| + k * r(T) lives with the test oracles, not here.
+_ForestPartition is the one partition engine; its undo log makes snapshot()
+a mark and restore(mark) a roll-back. union_rank_table walks the subset tree
+depth-first with one partition (an insertion per subset, rolled back before
+the next sibling), and the bounded search in decompose.py backtracks through
+the same marks. Flats come from one bitmask scan, flat_masks. The
+brute-force min over T of |X - T| + k * r(T) lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -80,7 +80,14 @@ def cycle_matroid(graph: Graph) -> RankOracle:
 
 
 class _ForestPartition:
-    """k disjoint forests over edges of one graph, with augmenting insertion."""
+    """k disjoint forests over edges of one graph, with augmenting insertion
+    and an undo log.
+
+    Every move of an augmenting chain is logged as (edge, previous owner,
+    new owner), with None as the previous owner of the inserted edge.
+    snapshot() is a mark into the log; restore(mark) reverses the moves
+    logged after it, newest first.
+    """
 
     def __init__(self, graph: Graph, k: int):
         if k < 0:
@@ -89,6 +96,7 @@ class _ForestPartition:
         self.k = k
         self.owner: dict[int, int] = {}
         self.adj: list[dict[int, list[tuple[int, int]]]] = [dict() for _ in range(k)]
+        self.log: list[tuple[int, int | None, int]] = []
 
     def covered(self) -> int:
         return len(self.owner)
@@ -99,16 +107,16 @@ class _ForestPartition:
             sets[j].add(e)
         return tuple(frozenset(s) for s in sets)
 
-    def snapshot(self):
-        return (
-            dict(self.owner),
-            [{v: list(lst) for v, lst in forest.items()} for forest in self.adj],
-        )
+    def snapshot(self) -> int:
+        return len(self.log)
 
-    def restore(self, snap) -> None:
-        owner, adj = snap
-        self.owner = dict(owner)
-        self.adj = [{v: list(lst) for v, lst in forest.items()} for forest in adj]
+    def restore(self, mark: int) -> None:
+        log = self.log
+        while len(log) > mark:
+            eid, prev, new = log.pop()
+            self._remove(new, eid)
+            if prev is not None:
+                self._add(prev, eid)
 
     def _add(self, j: int, eid: int) -> None:
         u, v = self.graph.endpoints[eid]
@@ -181,21 +189,20 @@ class _ForestPartition:
         return False, frozenset(parent)
 
     def _apply_chain(self, parent: dict[int, int | None], last: int, slot: int) -> None:
-        chain = [last]
-        while parent[chain[-1]] is not None:
-            chain.append(parent[chain[-1]])
-        # chain runs from the slot end back to the new element
-        target = slot
+        # walk from the slot end back to the new element, the only unowned
+        # element of the chain, logging each move as it is made
+        x, target = last, slot
         touched = {slot}
-        for x in chain:
+        while True:
             prev = self.owner.get(x)
+            self.log.append((x, prev, target))
             if prev is not None:
                 self._remove(prev, x)
                 touched.add(prev)
             self._add(target, x)
             if prev is None:
                 break
-            target = prev
+            x, target = parent[x], prev
         for j in touched:
             self._assert_forest(j)
 
@@ -210,40 +217,6 @@ class _ForestPartition:
             uf.add(v)
             if not uf.union(u, v):
                 raise AssertionError(f"internal error: forest {j} acquired a cycle")
-
-
-class _UndoPartition(_ForestPartition):
-    """A _ForestPartition whose augmentations can be rolled back.
-
-    Every move of an augmenting chain is logged as (edge, previous owner,
-    new owner), with None as the previous owner of the inserted edge;
-    undo(mark) reverses the moves logged after position mark, newest first.
-    The plain class keeps no log, so callers that never undo pay nothing.
-    """
-
-    def __init__(self, graph: Graph, k: int):
-        super().__init__(graph, k)
-        self.log: list[tuple[int, int | None, int]] = []
-
-    def _apply_chain(self, parent: dict[int, int | None], last: int, slot: int) -> None:
-        # the same walk as the base class, from the slot end back to the new
-        # element, recording each move before the base class makes it
-        x, new = last, slot
-        while True:
-            prev = self.owner.get(x)
-            self.log.append((x, prev, new))
-            if prev is None:
-                break
-            x, new = parent[x], prev
-        super()._apply_chain(parent, last, slot)
-
-    def undo(self, mark: int) -> None:
-        log = self.log
-        while len(log) > mark:
-            eid, prev, new = log.pop()
-            self._remove(new, eid)
-            if prev is not None:
-                self._add(prev, eid)
 
 
 def matroid_partition(
@@ -296,18 +269,18 @@ def union_rank_table(graph: Graph, k: int) -> list[int]:
     if m > UNION_TABLE_HARD_CAP:
         raise DeskScaleExceeded(f"union_rank_table needs |E| <= {UNION_TABLE_HARD_CAP}, got {m}")
     ranks = [0] * (1 << m)
-    part = _UndoPartition(graph, k)
+    part = _ForestPartition(graph, k)
 
     def walk(mask: int, below: int) -> None:
         rank = ranks[mask]
         for e in range(below):
-            mark = len(part.log)
+            mark = part.snapshot()
             ok, _ = part.try_insert(e)
             child = mask | 1 << e
             ranks[child] = rank + 1 if ok else rank
             if e:
                 walk(child, e)
-            part.undo(mark)
+            part.restore(mark)
 
     walk(0, m)
     return ranks
@@ -324,25 +297,43 @@ def dual_oracle(base: RankOracle) -> RankOracle:
     return RankOracle(base.ground_set_size, lambda X: dual_rank(base, X))
 
 
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def flat_masks(size: int, rank: Callable[[int], int]) -> list[int]:
+    """Bitmasks of all flats of a matroid on 0..size-1, in increasing order,
+    given its rank function on bitmasks: X is a flat iff every outside
+    element raises the rank."""
+    flats = []
+    for mask in range(1 << size):
+        raised = rank(mask) + 1
+        for e in range(size):
+            if not mask >> e & 1 and rank(mask | 1 << e) != raised:
+                break
+        else:
+            flats.append(mask)
+    return flats
+
+
 def enumerate_flats(oracle: RankOracle, max_ground: int | None = None) -> list[frozenset[int]]:
-    """All flats, by the subset scan: X is a flat iff every outside element
-    raises the rank. Returned in canonical order (size, then sorted ids)."""
+    """All flats as frozensets, by the flat_masks scan over the oracle.
+    Returned in canonical order (size, then sorted ids)."""
     size = oracle.ground_set_size
     limit = max_ground if max_ground is not None else FLAT_ENUM_DEFAULT
     if max_ground is None:
         check_gate(size, FLAT_ENUM_DEFAULT, "enumerate_flats")
     elif size > limit:
         raise DeskScaleExceeded(f"enumerate_flats: ground set {size} exceeds limit {limit}")
-    flats = []
-    for mask in range(1 << size):
-        members = frozenset(i for i in range(size) if mask >> i & 1)
-        base_rank = oracle.rank(members)
-        if all(
-            oracle.rank(members | {x}) == base_rank + 1
-            for x in range(size)
-            if x not in members
-        ):
-            flats.append(members)
+    flats = [
+        frozenset(_bits(mask))
+        for mask in flat_masks(size, lambda mask: oracle.rank(_bits(mask)))
+    ]
     flats.sort(key=lambda f: (len(f), sorted(f)))
     return flats
 

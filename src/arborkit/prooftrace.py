@@ -23,21 +23,12 @@ from .limits import (
     DeskScaleExceeded,
     check_gate,
 )
-from .matroid import RankOracle, union_rank, union_rank_table
+from .matroid import RankOracle, _bits, dual_oracle, flat_masks, union_oracle, union_rank_table
 from .rationals import Infinite, format_value, is_infinite
 
 VERDICT_PASS = "PASS"
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
 VERDICT_FAIL = "FAIL"
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _gate(graph: Graph, max_edges: int | None, what: str) -> None:
@@ -50,30 +41,24 @@ def _gate(graph: Graph, max_edges: int | None, what: str) -> None:
 
 
 def build_dual_union_oracle(graph: Graph, k: int) -> RankOracle:
-    """Rank oracle for the dual of the k-fold cycle-matroid union:
-    rank(X) = |X| + union_rank(E - X) - union_rank(E)."""
+    """Rank oracle for the dual of the k-fold cycle-matroid union, over a
+    union rank table when the graph is small enough, else per call."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     m = graph.edge_count
-    full = graph.full_edge_set()
     if m <= UNION_TABLE_HARD_CAP:
         table = union_rank_table(graph, k)
-        full_mask = (1 << m) - 1
-        total = table[full_mask]
 
         def fn(subset: frozenset[int]) -> int:
-            comp = full_mask
+            mask = 0
             for e in subset:
-                comp ^= 1 << e
-            return len(subset) + table[comp] - total
+                mask |= 1 << e
+            return table[mask]
 
+        base = RankOracle(m, fn)
     else:
-        total = union_rank(graph, k, full)
-
-        def fn(subset: frozenset[int]) -> int:
-            return len(subset) + union_rank(graph, k, full - subset) - total
-
-    return RankOracle(m, fn)
+        base = union_oracle(graph, k)
+    return dual_oracle(base)
 
 
 def _matching_masks(graph: Graph) -> list[int]:
@@ -207,15 +192,7 @@ def _flat_records(graph: Graph, k: int, table: list[int]) -> list[FlatRecord]:
         return mask.bit_count() + table[full_mask ^ mask] - ur_full
 
     records = []
-    for mask in range(1 << m):
-        base = rank_dual(mask)
-        flat = True
-        for e in range(m):
-            if not mask >> e & 1 and rank_dual(mask | (1 << e)) != base + 1:
-                flat = False
-                break
-        if not flat:
-            continue
+    for mask in flat_masks(m, rank_dual):
         comp = full_mask ^ mask
         x_ids = tuple(_bits(comp))
         if not x_ids:

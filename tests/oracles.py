@@ -74,6 +74,20 @@ def dual_rank_via_bases(rank_fn, ground, subset):
     return best
 
 
+def brute_flats(rank_fn, ground):
+    """All flats, by the closure definition: X is a flat iff no element e
+    outside X has r(X + e) = r(X)."""
+    ground = sorted(ground)
+    flats = set()
+    for size in range(len(ground) + 1):
+        for combo in combinations(ground, size):
+            members = frozenset(combo)
+            r = rank_fn(members)
+            if all(rank_fn(members | {e}) != r for e in ground if e not in members):
+                flats.add(members)
+    return flats
+
+
 def brute_edge_domination(graph):
     """Smallest edge set meeting every closed neighborhood.
 

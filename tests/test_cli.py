@@ -128,6 +128,7 @@ def test_verify_rejects_bad_document(graph_file, tmp_path, capsys):
     {"forests": [[0]], "remainder": [1.5]},
     {"forests": [[True]]},
     {"forests": [[0]], "kind": 7},
+    {"forests": [[0]], "kind": "tree"},
 ])
 def test_verify_malformed_document_is_usage_error(graph_file, tmp_path, capsys, doc):
     f = graph_file("tri.txt", cycle(3))

@@ -18,6 +18,7 @@ from arborkit import (
     union_rank,
     union_rank_table,
 )
+from arborkit.matroid import _ForestPartition
 from helpers import complete_graph, cycle, doubled_cycle, path
 from oracles import brute_union_rank, dual_rank_via_bases, subgraph_rank
 
@@ -151,6 +152,45 @@ def test_partition_at_zero():
 def test_partition_rejects_negative_k():
     with pytest.raises(ValueError):
         partition_into_forests(cycle(3), -1)
+
+
+def test_forest_partition_restore_returns_to_mark():
+    # parallel edges at k=2: inserting edge 5 pushes edge 1, placed before
+    # the mark, from forest 0 to forest 1 and edge 4 back to forest 0
+    g = Graph(4, (
+        (0, 1), (3, 2), (2, 1), (0, 3), (1, 3),
+        (0, 1), (2, 0), (3, 0), (1, 0), (0, 3),
+    ))
+    part = _ForestPartition(g, 2)
+    for e in range(3):
+        assert part.try_insert(e) == (True, None)
+    owner_before = dict(part.owner)
+    sets_before = part.forest_sets()
+    mark = part.snapshot()
+    outcomes = []
+    for e in range(3, g.edge_count):
+        before = part.snapshot()
+        owner = dict(part.owner)
+        ok, label = part.try_insert(e)
+        outcomes.append(ok)
+        if not ok:
+            assert len(label) > 2 * subgraph_rank(g, label)
+            assert part.snapshot() == before
+            assert part.owner == owner
+    assert outcomes == [True, True, True, False, False, False, False]
+    assert any(part.owner[e] != j for e, j in owner_before.items())
+    for forest in part.forest_sets():
+        assert subgraph_rank(g, forest) == len(forest)
+
+    part.restore(mark)
+    assert part.snapshot() == mark
+    assert part.owner == owner_before
+    assert part.forest_sets() == sets_before
+    # the restored adjacency is live: the same run gives the same outcomes
+    assert [part.try_insert(e)[0] for e in range(3, g.edge_count)] == outcomes
+    part.restore(0)
+    assert part.owner == {}
+    assert part.forest_sets() == (frozenset(), frozenset())
 
 
 def test_union_rank_frozen_values():

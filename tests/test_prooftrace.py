@@ -13,6 +13,7 @@ from arborkit import (
 )
 from arborkit.prooftrace import VERDICT_INCONCLUSIVE, VERDICT_PASS
 from helpers import complete_graph, cycle, doubled_cycle, path
+from oracles import brute_flats, brute_union_rank, dual_rank_via_bases
 
 
 def test_dual_union_oracle_frozen_ranks():
@@ -44,13 +45,19 @@ def test_dual_union_oracle_rejects_negative_k():
 
 def test_flat_records_agree_with_generic_enumeration():
     for g in (cycle(3), complete_graph(4), path(4), doubled_cycle(3)):
+        ground = g.full_edge_set()
         for k in (1, 2):
             report = run_prooftrace(g, k)
-            from_records = {
-                g.full_edge_set() - frozenset(r.complement) for r in report.records
-            }
-            generic = set(enumerate_flats(build_dual_union_oracle(g, k)))
-            assert from_records == generic
+            from_records = {ground - frozenset(r.complement) for r in report.records}
+
+            def dual_rank_fn(subset):
+                return dual_rank_via_bases(
+                    lambda x: brute_union_rank(g, k, x), ground, subset
+                )
+
+            expected = brute_flats(dual_rank_fn, ground)
+            assert from_records == expected
+            assert set(enumerate_flats(build_dual_union_oracle(g, k))) == expected
 
 
 def test_triangle_prooftrace_frozen():
