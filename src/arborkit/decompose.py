@@ -191,8 +191,7 @@ def decompose_forests_bounded(graph: Graph, k: int, d: int, kind: str) -> Decomp
         raise ValueError("k must be nonnegative")
     if graph.has_loop():
         raise ValueError("decomposition requires a loop-free graph")
-    if kind == "forest":
-        check_gate(graph.edge_count, BOUNDED_SEARCH_DEFAULT, "decompose_forests_bounded")
+    check_gate(graph.edge_count, BOUNDED_SEARCH_DEFAULT, "decompose_forests_bounded")
     order = _edge_priority(graph)
     part = _ForestPartition(graph, k)
     deg_rem = [0] * graph.vertex_count

@@ -136,9 +136,11 @@ class _ForestPartition:
         """Edge ids of the source->target path inside forest j, else None."""
         if source == target:
             return []
+        forest = self.adj[j]
+        if not forest.get(source) or not forest.get(target):
+            return None
         via: dict[int, tuple[int, int] | None] = {source: None}
         queue = deque([source])
-        forest = self.adj[j]
         while queue:
             x = queue.popleft()
             for eid, y in forest.get(x, ()):
@@ -177,7 +179,11 @@ class _ForestPartition:
         queue = deque([eid])
         while queue:
             f = queue.popleft()
+            # in the forest that holds f its circuit is [f], already labelled
+            own = self.owner.get(f)
             for j in range(self.k):
+                if j == own:
+                    continue
                 circuit = self._fundamental_circuit(j, f)
                 if circuit is None:
                     self._apply_chain(parent, f, j)
@@ -207,16 +213,26 @@ class _ForestPartition:
             self._assert_forest(j)
 
     def _assert_forest(self, j: int) -> None:
-        # soundness check after every rearrangement; cheap at desk scale
-        uf = _UnionFind()
+        # every edge owner assigns to forest j, a loop included, must join
+        # two different components of the edges before it; raised, not
+        # asserted, so python -O keeps the check
+        endpoints = self.graph.endpoints
+        parent: dict[int, int] = {}
         for e, owner in self.owner.items():
             if owner != j:
                 continue
-            u, v = self.graph.endpoints[e]
-            uf.add(u)
-            uf.add(v)
-            if not uf.union(u, v):
+            u, v = endpoints[e]
+            # path halving keeps the finds short on deep chains, a star
+            # linked leaf by leaf among them
+            while u in parent:
+                p = parent[u]
+                parent[u] = u = parent.get(p, p)
+            while v in parent:
+                p = parent[v]
+                parent[v] = v = parent.get(p, p)
+            if u == v:
                 raise AssertionError(f"internal error: forest {j} acquired a cycle")
+            parent[u] = v
 
 
 def matroid_partition(

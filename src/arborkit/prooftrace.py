@@ -41,24 +41,24 @@ def _gate(graph: Graph, max_edges: int | None, what: str) -> None:
 
 
 def build_dual_union_oracle(graph: Graph, k: int) -> RankOracle:
-    """Rank oracle for the dual of the k-fold cycle-matroid union, over a
-    union rank table when the graph is small enough, else per call."""
+    """Rank oracle for the dual of the k-fold cycle-matroid union: the dual
+    formula |X| + r(E - X) - r(E) read from a union rank table when the graph
+    is small enough, else dual_oracle over per-call union ranks."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     m = graph.edge_count
-    if m <= UNION_TABLE_HARD_CAP:
-        table = union_rank_table(graph, k)
+    if m > UNION_TABLE_HARD_CAP:
+        return dual_oracle(union_oracle(graph, k))
+    table = union_rank_table(graph, k)
+    full = (1 << m) - 1
 
-        def fn(subset: frozenset[int]) -> int:
-            mask = 0
-            for e in subset:
-                mask |= 1 << e
-            return table[mask]
+    def fn(subset: frozenset[int]) -> int:
+        mask = 0
+        for e in subset:
+            mask |= 1 << e
+        return len(subset) + table[full ^ mask] - table[full]
 
-        base = RankOracle(m, fn)
-    else:
-        base = union_oracle(graph, k)
-    return dual_oracle(base)
+    return RankOracle(m, fn)
 
 
 def _matching_masks(graph: Graph) -> list[int]:

@@ -150,6 +150,15 @@ def test_decompose_bounded_flags(graph_file, capsys):
     assert main(["decompose", f, "--k", "1", "--remainder", "forest"]) == 2
 
 
+def test_decompose_graph_remainder_gate_exit(graph_file, capsys, monkeypatch):
+    monkeypatch.delenv("ARBORKIT_MAX_EDGES", raising=False)
+    f = graph_file("long.txt", path(24))
+    assert main(["decompose", f, "--k", "1", "--remainder", "graph", "--d", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "desk-scale limit" in captured.err
+
+
 def test_domination_values(graph_file, capsys):
     f = graph_file("c6.txt", cycle(6))
     assert main(["domination", f, "--kind", "edge"]) == 0

@@ -193,6 +193,39 @@ def test_forest_partition_restore_returns_to_mark():
     assert part.forest_sets() == (frozenset(), frozenset())
 
 
+@pytest.mark.parametrize("graph, k, planted, insert, placed", [
+    # a triangle in forest 0; edge 3 fits there
+    (Graph(4, ((0, 1), (1, 2), (0, 2), (2, 3))), 1, {0: 0, 1: 0, 2: 0}, 3, {3: 0}),
+    # a parallel pair in forest 0
+    (Graph(4, ((0, 1), (0, 1), (2, 3))), 1, {0: 0, 1: 0}, 2, {2: 0}),
+    # a loop in forest 0
+    (Graph(3, ((0, 0), (1, 2))), 1, {0: 0}, 1, {1: 0}),
+    # a parallel pair (edges 3, 4) in forest 1, which the chain only
+    # passes through: edge 5 enters forest 1 and pushes edge 2 into forest 0
+    (
+        Graph(5, ((0, 1), (0, 2), (2, 1), (3, 4), (3, 4), (0, 1))),
+        2,
+        {0: 0, 1: 1, 2: 1, 3: 1, 4: 1},
+        5,
+        {5: 1, 2: 0},
+    ),
+])
+def test_forest_check_raises_on_planted_cycle(graph, k, planted, insert, placed):
+    def plant(edges):
+        part = _ForestPartition(graph, k)
+        for e in edges:
+            part._add(planted[e], e)
+        return part
+
+    # without the edge that closes the cycle the insertion succeeds
+    part = plant(list(planted)[:-1])
+    assert part.try_insert(insert) == (True, None)
+    assert {e: part.owner[e] for e in placed} == placed
+    part = plant(planted)
+    with pytest.raises(AssertionError, match="acquired a cycle"):
+        part.try_insert(insert)
+
+
 def test_union_rank_frozen_values():
     k4 = complete_graph(4)
     assert union_rank(k4, 1, k4.full_edge_set()) == 3
