@@ -1,20 +1,25 @@
 """Arboricity, exact fractional arboricity, and forest partitions.
 
 fractional_arboricity maximizes |E(S)| / (|S| - 1) over vertex subsets with
-at least two vertices, as an exact rational. The exact mode runs a
-Dinkelbach-style iteration: lambda starts at the density of the whole vertex
-set and each step solves max |E(S)| - lambda (|S| - 1) through an integer
-min-cut (one flow per choice of a vertex whose membership is free, which
-makes the "-1" in the denominator exact rather than approximate). Every step
-either certifies that no subset beats lambda or produces a strictly denser
-subset, so the candidate densities visited strictly increase and the loop
-ends after at most the number of distinct densities.
+at least two vertices, as an exact rational. It runs a Dinkelbach-style
+iteration: lambda starts at the density of the whole vertex set and each
+step solves max |E(S)| - lambda (|S| - 1) through an integer min-cut (one
+flow per choice of a vertex whose membership is free, which makes the "-1"
+in the denominator exact rather than approximate). Every step either
+certifies that no subset beats lambda or produces a strictly denser subset,
+so the candidate densities visited strictly increase and the loop ends
+after at most the number of distinct densities.
 
 The threshold test gamma_f <= p/q peels first: greedy min-degree peeling
 (Charikar 2000) walks a chain of ever smaller vertex sets, and the test
 rejects at once if one of them has q |E(S)| > p (|S| - 1), checked exactly
 in integers. Only when no peeled set is that dense does it solve min cuts,
 so acceptance is always decided by a flow.
+
+arboricity partitions into k = 1, 2, ... forests until a partition exists.
+Its witness comes from the violating edge set of the last failed k: a
+component of those edges with more than k (|C| - 1) edges has a density
+whose ceiling is the arboricity, k + 1.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .flow import MaxFlow
-from .graphs import Graph, check_edge_subset, components, edge_induced_subgraph
-from .limits import FRAC_BRUTE_VERTICES_DEFAULT, check_gate
+from .graphs import Graph, check_edge_subset
 from .matroid import cycle_rank, matroid_partition
 from .rationals import INFINITE, Infinite, ceil_value, is_infinite
 
@@ -106,16 +110,15 @@ def _improving_subset(
         if excess > best_excess:
             side = net.min_cut_source_side(0)
             subset = frozenset(u for u in range(n) if (2 + m + u) in side)
-            got = frozenset(subset)
-            if _edges_within(graph, got) > 0:
+            if _edges_within(graph, subset) > 0:
                 best_excess = excess
-                best = got
+                best = subset
                 if stop_at_first:
                     return best
     return best
 
 
-def fractional_arboricity(graph: Graph, mode: str = "exact") -> FracArbResult:
+def fractional_arboricity(graph: Graph) -> FracArbResult:
     """max |E(S)| / (|S| - 1), exact. Edgeless gives 0; a loop gives INFINITE."""
     loops = graph.loop_edges()
     if loops:
@@ -123,10 +126,6 @@ def fractional_arboricity(graph: Graph, mode: str = "exact") -> FracArbResult:
         return FracArbResult(value=INFINITE, witness_vertices=frozenset({u}))
     if graph.edge_count == 0:
         return FracArbResult(value=Fraction(0), witness_vertices=frozenset())
-    if mode == "brute":
-        return _frac_arboricity_brute(graph)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
     n = graph.vertex_count
     lam = Fraction(graph.edge_count, n - 1)
     witness = frozenset(range(n))
@@ -144,32 +143,6 @@ def fractional_arboricity(graph: Graph, mode: str = "exact") -> FracArbResult:
             raise AssertionError("internal error: density did not improve")
         lam = new_lam
         witness = subset
-
-
-def _frac_arboricity_brute(graph: Graph) -> FracArbResult:
-    check_gate(graph.vertex_count, FRAC_BRUTE_VERTICES_DEFAULT, "fractional_arboricity brute force")
-    n = graph.vertex_count
-    incident_mask = [0] * n
-    best = Fraction(0)
-    best_set: frozenset[int] = frozenset()
-    for mask in range(1 << n):
-        size = mask.bit_count()
-        if size < 2:
-            continue
-        verts = frozenset(i for i in range(n) if mask >> i & 1)
-        inside = sum(
-            1 for u, v in graph.endpoints if (mask >> u & 1) and (mask >> v & 1)
-        )
-        if inside == 0:
-            continue
-        dens = Fraction(inside, size - 1)
-        if dens > best:
-            best = dens
-            best_set = verts
-    if not best_set:
-        # m >= 1 loop-free always yields a 2-vertex candidate, keep a guard
-        raise AssertionError("internal error: no candidate subset found")
-    return FracArbResult(value=best, witness_vertices=best_set)
 
 
 def _peeling_exceeds(graph: Graph, p: int, q: int) -> bool:
@@ -230,46 +203,49 @@ def arboricity(graph: Graph) -> ArboricityResult:
         return ArboricityResult(value=INFINITE, witness_vertices=frozenset({u}))
     if graph.edge_count == 0:
         return ArboricityResult(value=0, witness_vertices=frozenset())
-    k = 1
-    while not partition_into_forests(graph, k).ok:
-        k += 1
-        if k > graph.edge_count:
-            raise AssertionError("internal error: arboricity search overran |E|")
-    if k == 1:
+    below: PartitionResult | None = None
+    for k in range(1, graph.edge_count + 1):
+        result = partition_into_forests(graph, k)
+        if result.ok:
+            break
+        below = result
+    else:
+        raise AssertionError("internal error: arboricity search overran |E|")
+    if below is None:
         u, v = graph.endpoints[0]
         return ArboricityResult(value=1, witness_vertices=frozenset({u, v}))
-    witness = _witness_from_violation(graph, k)
+    witness = _dense_component(graph, below.violation, k - 1)
     return ArboricityResult(value=k, witness_vertices=witness)
 
 
-def _witness_from_violation(graph: Graph, k: int) -> frozenset[int]:
-    """Vertex set whose induced density has ceiling k, for k >= 2.
+def _dense_component(graph: Graph, violation: frozenset[int], k: int) -> frozenset[int]:
+    """Vertices of the first component, in edge-id order, of a loop-free
+    violating edge set at k that has more than k (|C| - 1) of its edges.
 
-    The violating set at k - 1 has some component denser than k - 1; that
-    component's density then has ceiling exactly k.
+    Such a component exists because |T| > k r(T) sums over components; its
+    density exceeds k and is at most gamma_f <= k + 1.
     """
-    result = partition_into_forests(graph, k - 1)
-    if result.violation is None:
-        raise AssertionError("internal error: no violating set below the arboricity")
-    sub = edge_induced_subgraph(graph, result.violation)
-    comp_of: dict[int, int] = {}
-    for idx, comp in enumerate(components(sub.graph)):
-        for v in comp:
-            comp_of[v] = idx
-    edge_count: dict[int, int] = {}
-    vert_count: dict[int, int] = {}
-    for v_new in range(sub.graph.vertex_count):
-        vert_count[comp_of[v_new]] = vert_count.get(comp_of[v_new], 0) + 1
-    for u, v in sub.graph.endpoints:
-        edge_count[comp_of[u]] = edge_count.get(comp_of[u], 0) + 1
-    for idx, m_i in edge_count.items():
-        n_i = vert_count[idx]
-        if m_i > (k - 1) * (n_i - 1):
-            return frozenset(
-                sub.vertices[v_new]
-                for v_new in range(sub.graph.vertex_count)
-                if comp_of[v_new] == idx
-            )
+    adj: dict[int, list[int]] = {}
+    for e in violation:
+        u, v = graph.endpoints[e]
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    seen: set[int] = set()
+    for e in sorted(violation):
+        start = graph.endpoints[e][0]
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        edges = sum(len(adj[x]) for x in comp) // 2
+        if edges > k * (len(comp) - 1):
+            return frozenset(comp)
     raise AssertionError("internal error: violating set had no dense component")
 
 

@@ -70,7 +70,7 @@ def cmd_arboricity(args) -> int:
 
 def cmd_frac(args) -> int:
     graph = _load_graph(args.file)
-    res = fractional_arboricity(graph, mode=args.mode)
+    res = fractional_arboricity(graph)
     if args.json:
         print(
             json.dumps(
@@ -188,6 +188,8 @@ def _check_decomposition_doc(doc) -> None:
 
 
 def cmd_verify(args) -> int:
+    if args.k < 0:
+        raise ValueError("k must be nonnegative")
     graph = _load_graph(args.file)
     doc = json.loads(Path(args.decomposition).read_text(encoding="utf-8"))
     _check_decomposition_doc(doc)
@@ -201,6 +203,8 @@ def cmd_verify(args) -> int:
         remainder = graph.full_edge_set() - covered
     kind = doc.get("kind", "matching")
     d = args.d if args.d is not None else doc.get("d")
+    if kind != "matching" and d is not None and d < 1:
+        raise ValueError("d must be a positive integer")
     dec = Decomposition(forests=forests, remainder=remainder, kind=kind, degree_bound=d)
     ok, reason = verify_decomposition(graph, dec, args.k, d)
     if ok:
@@ -309,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frac", help="fractional arboricity as an exact rational")
     p.add_argument("file", help="graph file, or - for stdin")
-    p.add_argument("--mode", choices=("exact", "brute"), default="exact")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_frac)
 

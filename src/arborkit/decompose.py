@@ -98,15 +98,9 @@ def maximal_matchings(graph: Graph, order: list[int] | None = None) -> Iterator[
         at[u].append(e)
         at[v].append(e)
 
-    def other(e: int, x: int) -> int:
-        u, v = graph.endpoints[e]
-        return v if x == u else u
-
     def usable(e: int, x: int) -> bool:
-        w = other(e, x)
-        return subset_free(w)
-
-    def subset_free(w: int) -> bool:
+        u, v = graph.endpoints[e]
+        w = v if x == u else u
         return not matched[w] and not pinned[w]
 
     def take(e: int):

@@ -15,7 +15,6 @@ UNION_TABLE_HARD_CAP = 20
 BOUNDED_SEARCH_DEFAULT = 22
 DOMINATION_DEFAULT = 24
 PROOFTRACE_DEFAULT = 14
-FRAC_BRUTE_VERTICES_DEFAULT = 16
 
 
 class DeskScaleExceeded(ValueError):

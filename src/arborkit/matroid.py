@@ -337,15 +337,11 @@ def flat_masks(size: int, rank: Callable[[int], int]) -> list[int]:
     return flats
 
 
-def enumerate_flats(oracle: RankOracle, max_ground: int | None = None) -> list[frozenset[int]]:
+def enumerate_flats(oracle: RankOracle) -> list[frozenset[int]]:
     """All flats as frozensets, by the flat_masks scan over the oracle.
     Returned in canonical order (size, then sorted ids)."""
     size = oracle.ground_set_size
-    limit = max_ground if max_ground is not None else FLAT_ENUM_DEFAULT
-    if max_ground is None:
-        check_gate(size, FLAT_ENUM_DEFAULT, "enumerate_flats")
-    elif size > limit:
-        raise DeskScaleExceeded(f"enumerate_flats: ground set {size} exceeds limit {limit}")
+    check_gate(size, FLAT_ENUM_DEFAULT, "enumerate_flats")
     flats = [
         frozenset(_bits(mask))
         for mask in flat_masks(size, lambda mask: oracle.rank(_bits(mask)))

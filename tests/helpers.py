@@ -1,6 +1,14 @@
 """Small graph builders shared across the tests."""
 
+from fractions import Fraction
+
 from arborkit import Graph
+
+
+def density(graph, verts):
+    """|E(S)| / (|S| - 1) for the vertex set S, counted from the edge list."""
+    inside = sum(1 for u, v in graph.endpoints if u in verts and v in verts)
+    return Fraction(inside, len(verts) - 1)
 
 
 def complete_graph(n):
@@ -51,6 +59,16 @@ def wheel(rim):
     spokes = [(0, i) for i in range(1, rim + 1)]
     ring = [(i, i % rim + 1) for i in range(1, rim + 1)]
     return Graph(rim + 1, tuple(spokes + ring))
+
+
+def disjoint_union(*graphs):
+    """The graphs side by side, vertices and edges numbered in argument order."""
+    edges = []
+    offset = 0
+    for g in graphs:
+        edges.extend((u + offset, v + offset) for u, v in g.endpoints)
+        offset += g.vertex_count
+    return Graph(offset, tuple(edges))
 
 
 def doubled_cycle(n):

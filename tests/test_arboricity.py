@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from arborkit import (
-    DeskScaleExceeded,
     Graph,
     SplitMix64,
     arboricity,
@@ -20,17 +19,14 @@ from helpers import (
     complete_bipartite,
     complete_graph,
     cycle,
+    density,
+    disjoint_union,
     doubled_cycle,
     path,
     petersen,
     star,
 )
 from oracles import brute_frac_arboricity
-
-
-def density(graph, verts):
-    inside = sum(1 for u, v in graph.endpoints if u in verts and v in verts)
-    return Fraction(inside, len(verts) - 1)
 
 
 FROZEN_FRAC = [
@@ -57,7 +53,7 @@ def test_fractional_arboricity_frozen(graph, value):
 
 @pytest.mark.parametrize("graph,value", FROZEN_FRAC)
 def test_brute_mode_agrees(graph, value):
-    assert fractional_arboricity(graph, mode="brute").value == value
+    assert brute_frac_arboricity(graph) == value
 
 
 def test_fractional_arboricity_degenerate():
@@ -66,18 +62,6 @@ def test_fractional_arboricity_degenerate():
     looped = fractional_arboricity(Graph(2, ((0, 1), (1, 1))))
     assert is_infinite(looped.value)
     assert looped.witness_vertices == frozenset({1})
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        fractional_arboricity(cycle(3), mode="fast")
-
-
-def test_brute_mode_gate(monkeypatch):
-    monkeypatch.delenv("ARBORKIT_MAX_EDGES", raising=False)
-    g = path(18)
-    with pytest.raises(DeskScaleExceeded):
-        fractional_arboricity(g, mode="brute")
 
 
 def test_at_most_threshold():
@@ -151,11 +135,24 @@ def test_arboricity_frozen_values():
     assert is_infinite(arboricity(Graph(1, ((0, 0),))).value)
 
 
-def test_arboricity_witness_density_ceiling():
-    for g in (complete_graph(5), cycle(6), petersen(), doubled_cycle(4)):
+# Components of different density side by side, the densest not always
+# first in edge-id order: the witness has to land in a component dense
+# enough for the arboricity, not on the first one or on the whole graph.
+DISCONNECTED = (
+    disjoint_union(cycle(6), complete_graph(5)),
+    disjoint_union(path(4), doubled_cycle(4), complete_graph(4)),
+    disjoint_union(complete_graph(4), complete_bipartite(3, 3), complete_graph(5)),
+    disjoint_union(doubled_cycle(3), petersen(), doubled_cycle(5)),
+    disjoint_union(star(4), Graph(3, ()), complete_graph(6), cycle(3)),
+)
+
+
+def test_arboricity_witness_density_ceiling(multigraph_corpus):
+    named = (complete_graph(5), cycle(6), petersen(), doubled_cycle(4))
+    for g in named + DISCONNECTED + multigraph_corpus:
         res = arboricity(g)
         dens = density(g, res.witness_vertices)
-        assert -(-dens.numerator // dens.denominator) == res.value
+        assert -(-dens.numerator // dens.denominator) == res.value, g
 
 
 def test_partition_at_arboricity_and_below():

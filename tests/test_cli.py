@@ -35,10 +35,18 @@ def test_frac_text(graph_file, capsys):
 
 def test_frac_json_and_modes(graph_file, capsys):
     f = graph_file("c6.txt", cycle(6))
-    assert main(["frac", f, "--json", "--mode", "brute"]) == 0
+    assert main(["frac", f, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["fractional_arboricity"] == "6/5"
     assert sorted(doc["witness_vertices"]) == [0, 1, 2, 3, 4, 5]
+
+
+def test_frac_mode_flag_is_gone(graph_file, capsys):
+    f = graph_file("c6.txt", cycle(6))
+    with pytest.raises(SystemExit) as exc:
+        main(["frac", f, "--mode", "brute"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_frac_from_stdin(monkeypatch, capsys):
@@ -136,6 +144,23 @@ def test_verify_malformed_document_is_usage_error(graph_file, tmp_path, capsys, 
     dec_path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["verify", f, "--k", "1", "--decomposition", str(dec_path)]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("doc,flags", [
+    ({"forests": [[0, 1]], "remainder": [2]}, ["--k", "-1"]),
+    ({"forests": [[0, 1]], "remainder": [2], "kind": "forest", "d": 1}, ["--k", "1", "--d", "-3"]),
+    ({"forests": [[0, 1]], "remainder": [2], "kind": "graph", "d": 2}, ["--k", "1", "--d", "0"]),
+    ({"forests": [[0, 1]], "remainder": [2], "kind": "forest", "d": 0}, ["--k", "1"]),
+    ({"forests": [[0, 1]], "remainder": [2], "kind": "graph", "d": -1}, ["--k", "1"]),
+])
+def test_verify_bad_k_or_d_is_usage_error(graph_file, tmp_path, capsys, doc, flags):
+    f = graph_file("tri.txt", cycle(3))
+    dec_path = tmp_path / "dec.json"
+    dec_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", f, "--decomposition", str(dec_path)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_decompose_bounded_flags(graph_file, capsys):

@@ -14,6 +14,7 @@ from arborkit import (
     fractional_arboricity_at_most,
     generate,
 )
+from oracles import brute_frac_arboricity
 
 
 def test_splitmix64_reference_vectors():
@@ -72,8 +73,8 @@ def test_generated_graph_meets_bound():
         g = generate(spec)
         assert g.edge_count == int(Fraction(6, 5) * 7)
         assert fractional_arboricity_at_most(g, Fraction(6, 5))
-        # re-verify against the exhaustive mode, not just the threshold test
-        assert fractional_arboricity(g, mode="brute").value <= Fraction(6, 5)
+        # re-verify against the exhaustive oracle, not just the threshold test
+        assert brute_frac_arboricity(g) <= Fraction(6, 5)
 
 
 def test_simple_draws_have_no_duplicates():
