@@ -17,9 +17,9 @@ in integers. Only when no peeled set is that dense does it solve min cuts,
 so acceptance is always decided by a flow.
 
 arboricity partitions into k = 1, 2, ... forests until a partition exists.
-Its witness comes from the violating edge set of the last failed k: a
-component of those edges with more than k (|C| - 1) edges has a density
-whose ceiling is the arboricity, k + 1.
+Its witness is the vertex set S of the violating edge set T of the last
+failed k. T is connected, so |T| > k r(T) reads |T| > k (|S| - 1), and the
+density of S has the arboricity, k + 1, as its ceiling.
 """
 
 from __future__ import annotations
@@ -214,39 +214,13 @@ def arboricity(graph: Graph) -> ArboricityResult:
     if below is None:
         u, v = graph.endpoints[0]
         return ArboricityResult(value=1, witness_vertices=frozenset({u, v}))
-    witness = _dense_component(graph, below.violation, k - 1)
+    # each edge the failed search labels lies on a forest path between the
+    # endpoints of an edge labelled before it, so the violation is connected
+    violation = below.violation
+    witness = frozenset(x for e in violation for x in graph.endpoints[e])
+    if len(violation) <= (k - 1) * (len(witness) - 1):
+        raise AssertionError("internal error: violating set is not denser than the forests below")
     return ArboricityResult(value=k, witness_vertices=witness)
-
-
-def _dense_component(graph: Graph, violation: frozenset[int], k: int) -> frozenset[int]:
-    """Vertices of the first component, in edge-id order, of a loop-free
-    violating edge set at k that has more than k (|C| - 1) of its edges.
-
-    Such a component exists because |T| > k r(T) sums over components; its
-    density exceeds k and is at most gamma_f <= k + 1.
-    """
-    adj: dict[int, list[int]] = {}
-    for e in violation:
-        u, v = graph.endpoints[e]
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen: set[int] = set()
-    for e in sorted(violation):
-        start = graph.endpoints[e][0]
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            for y in adj[stack.pop()]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        edges = sum(len(adj[x]) for x in comp) // 2
-        if edges > k * (len(comp) - 1):
-            return frozenset(comp)
-    raise AssertionError("internal error: violating set had no dense component")
 
 
 def check_subgraph_bound(graph: Graph, subset: Iterable[int]) -> bool:

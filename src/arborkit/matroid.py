@@ -16,11 +16,14 @@ elements satisfies r(L) = |F_j intersect L| for every j, which yields
 |L| > k * r(L) with e uncovered, a certificate that L fits in no k forests.
 
 _ForestPartition is the one partition engine; its undo log makes snapshot()
-a mark and restore(mark) a roll-back. union_rank_table walks the subset tree
-depth-first with one partition (an insertion per subset, rolled back before
-the next sibling), and the bounded search in decompose.py backtracks through
-the same marks. Flats come from one bitmask scan, flat_masks. The
-brute-force min over T of |X - T| + k * r(T) lives with the test oracles.
+a mark and restore(mark) a roll-back, through which the bounded search in
+decompose.py backtracks. union_rank_table does not augment per subset: it
+evaluates the union formula r_k(X) = min over T of |X - T| + k * r(T)
+(Nash-Williams 1966; Edmonds 1968) for every X at once, from a cycle-rank
+table and a subset-min transform, and checks the full set against the
+augmenting search. Flats come from one bitmask scan, flat_masks. The
+brute-force evaluation of the formula, one X at a time, lives with the test
+oracles.
 """
 
 from __future__ import annotations
@@ -83,10 +86,12 @@ class _ForestPartition:
     """k disjoint forests over edges of one graph, with augmenting insertion
     and an undo log.
 
-    Every move of an augmenting chain is logged as (edge, previous owner,
-    new owner), with None as the previous owner of the inserted edge.
-    snapshot() is a mark into the log; restore(mark) reverses the moves
-    logged after it, newest first.
+    matroid_partition (and through it union_rank and partition_into_forests)
+    grows one from empty; the bounded search in decompose.py backtracks
+    through its undo log. Every move of an augmenting chain is logged as
+    (edge, previous owner, new owner), with None as the previous owner of
+    the inserted edge. snapshot() is a mark into the log; restore(mark)
+    reverses the moves logged after it, newest first.
     """
 
     def __init__(self, graph: Graph, k: int):
@@ -272,34 +277,75 @@ def union_oracle(graph: Graph, k: int) -> RankOracle:
 def union_rank_table(graph: Graph, k: int) -> list[int]:
     """union_rank for every subset, indexed by edge bitmask.
 
-    The parent of a subset is the subset without its lowest edge, so the
-    children of a mask are mask | 1 << e for every edge e below its lowest
-    one. A single depth-first walk over that tree keeps one mutable forest
-    partition, optimal for the current mask: a child costs one augmenting
-    insertion of e, and after the child's subtree the insertion's moves are
-    rolled back from the undo log. Besides the 2^m-entry rank list the walk
-    holds O(m) partition state and an undo log with one augmenting chain
-    per level of the walk.
+    By the matroid union theorem (Nash-Williams 1966; Edmonds 1968)
+    r_k(X) = min over T subset of X of |X - T| + k * r(T), with r the cycle
+    rank. Two passes fill one 2^m-entry list. The first stores k * r(T) for
+    every T: a depth-first walk of the subset tree (the parent of a mask is
+    the mask without its lowest edge) with a union-find that rolls back,
+    where an edge raises the rank exactly when it joins two components (a
+    loop never does). The second is the subset-min transform (Yates 1937):
+    for each bit, s[X] = min(s[X], s[X - bit] + 1) over every X holding the
+    bit, in place, one map over a pair of slices at a time. The list is
+    then r_k. Besides the list, memory holds the slices of one step, each
+    at most half the list long; no popcount or second table is kept. The full-set entry is
+    checked against the augmenting union_rank before the table is returned.
     """
     m = graph.edge_count
     if m > UNION_TABLE_HARD_CAP:
         raise DeskScaleExceeded(f"union_rank_table needs |E| <= {UNION_TABLE_HARD_CAP}, got {m}")
-    ranks = [0] * (1 << m)
-    part = _ForestPartition(graph, k)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    endpoints = graph.endpoints
+    table = [0] * (1 << m)
+    # union by size without path compression, so a union is undone by
+    # resetting one parent pointer and one size
+    up = list(range(graph.vertex_count))
+    size = [1] * graph.vertex_count
 
-    def walk(mask: int, below: int) -> None:
-        rank = ranks[mask]
+    def walk(mask: int, below: int, value: int) -> None:
         for e in range(below):
-            mark = part.snapshot()
-            ok, _ = part.try_insert(e)
+            u, v = endpoints[e]
+            while up[u] != u:
+                u = up[u]
+            while up[v] != v:
+                v = up[v]
             child = mask | 1 << e
-            ranks[child] = rank + 1 if ok else rank
+            if u == v:
+                table[child] = value
+                if e:
+                    walk(child, e, value)
+                continue
+            if size[u] < size[v]:
+                u, v = v, u
+            up[v] = u
+            size[u] += size[v]
+            table[child] = value + k
             if e:
-                walk(child, e)
-            part.restore(mark)
+                walk(child, e, value + k)
+            up[v] = v
+            size[u] -= size[v]
 
-    walk(0, m)
-    return ranks
+    walk(0, m, 0)
+
+    plus_one = (1).__add__
+    for i in range(m):
+        step = 1 << i
+        block = step << 1
+        if step <= 1 << (m - 1 - i):
+            # low bit: one strided slice pair per offset inside a block
+            for off in range(step):
+                hi = slice(off + step, None, block)
+                table[hi] = map(min, table[hi], map(plus_one, table[off::block]))
+        else:
+            # high bit: one contiguous slice pair per block
+            for base in range(0, 1 << m, block):
+                hi = slice(base + step, base + block)
+                table[hi] = map(min, table[hi], map(plus_one, table[base:base + step]))
+
+    full = (1 << m) - 1
+    if table[full] != union_rank(graph, k, range(m)):
+        raise AssertionError("internal error: union table disagrees with augmenting union_rank")
+    return table
 
 
 def dual_rank(base: RankOracle, subset: Iterable[int]) -> int:

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from arborkit import (
@@ -153,6 +154,19 @@ def test_arboricity_witness_density_ceiling(multigraph_corpus):
         res = arboricity(g)
         dens = density(g, res.witness_vertices)
         assert -(-dens.numerator // dens.denominator) == res.value, g
+
+
+def test_violation_below_arboricity_is_connected(atlas_corpus, multigraph_corpus):
+    # the witness of arboricity() is the vertex set of this violation, which
+    # is only dense enough when the violation is one connected piece
+    for g in atlas_corpus + multigraph_corpus + DISCONNECTED:
+        if not g.edge_count:
+            continue
+        below = partition_into_forests(g, arboricity(g).value - 1)
+        assert not below.ok
+        touched = nx.MultiGraph()
+        touched.add_edges_from(g.endpoints[e] for e in below.violation)
+        assert nx.is_connected(touched), (g.endpoints, below.violation)
 
 
 def test_partition_at_arboricity_and_below():

@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arborkit import (
     DeskScaleExceeded,
@@ -267,14 +268,42 @@ def test_union_rank_table_matches_oracle():
                 assert got == brute_union_rank(g, k, subset), (g.endpoints, k, subset)
 
 
+def _assert_table_matches_augmenting(g, k):
+    table = union_rank_table(g, k)
+    assert len(table) == 1 << g.edge_count
+    for mask, got in enumerate(table):
+        subset = [e for e in range(g.edge_count) if mask >> e & 1]
+        assert got == union_rank(g, k, subset), (g.endpoints, k, subset)
+
+
 def test_union_rank_table_matches_pointwise():
-    g = complete_graph(4)
     for k in (1, 2):
-        table = union_rank_table(g, k)
-        assert len(table) == 1 << g.edge_count
-        for subset in powerset(g.edge_ids()):
-            mask = sum(1 << e for e in subset)
-            assert table[mask] == union_rank(g, k, subset)
+        _assert_table_matches_augmenting(complete_graph(4), k)
+
+
+def test_union_rank_table_matches_augmenting_on_corpus(multigraph_corpus):
+    # the table comes from the union formula and a subset transform; the
+    # augmenting search reaches the same ranks by a different route
+    small = [g for g in multigraph_corpus if g.edge_count <= 10]
+    assert len(small) > 100
+    for g in small:
+        for k in range(4):
+            _assert_table_matches_augmenting(g, k)
+
+
+@st.composite
+def small_multigraphs(draw):
+    """Up to 5 vertices and 8 edges, loops and parallel edges allowed."""
+    n = draw(st.integers(1, 5))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    return Graph(n, tuple(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_multigraphs(), st.integers(0, 3))
+def test_union_rank_table_matches_augmenting_on_multigraphs(g, k):
+    _assert_table_matches_augmenting(g, k)
 
 
 def test_union_rank_table_hard_cap():
