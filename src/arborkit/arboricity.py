@@ -145,27 +145,27 @@ def fractional_arboricity(graph: Graph) -> FracArbResult:
         witness = subset
 
 
-def _peeling_exceeds(graph: Graph, p: int, q: int) -> bool:
+def _peeling_exceeds(n: int, endpoints, p: int, q: int) -> bool:
     """True when a set left by min-degree peeling has q |E(S)| > p (|S| - 1).
 
-    Each set is checked exactly, so True proves gamma_f > p / q; False
-    decides nothing. Parallel edges count with multiplicity; the graph must
-    be loop-free.
+    Takes the raw pairs of a loop-free multigraph on 0..n-1, in any order:
+    ties go to the lowest vertex, so the order of the pairs does not matter.
+    Parallel edges count with multiplicity. Each set is checked exactly, so
+    True proves gamma_f > p / q; False decides nothing.
     """
-    n = graph.vertex_count
     adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in graph.endpoints:
+    for u, v in endpoints:
         adj[u].append(v)
         adj[v].append(u)
-    deg = [len(nbrs) for nbrs in adj]
-    alive = set(range(n))
-    inside = graph.edge_count
+    deg = list(map(len, adj))
+    inside = len(endpoints)
+    gone = 2 * inside + 1  # above any live degree after a decrement per edge
     for size in range(n, 1, -1):
         if q * inside > p * (size - 1):
             return True
-        low = min(alive, key=deg.__getitem__)
-        alive.remove(low)
+        low = deg.index(min(deg))
         inside -= deg[low]
+        deg[low] = gone
         for w in adj[low]:
             deg[w] -= 1
     return False
@@ -186,7 +186,7 @@ def fractional_arboricity_at_most(graph: Graph, bound) -> bool:
         return Fraction(0) <= bound
     if bound <= 0:
         return False
-    if _peeling_exceeds(graph, bound.numerator, bound.denominator):
+    if _peeling_exceeds(graph.vertex_count, graph.endpoints, bound.numerator, bound.denominator):
         return False
     return _improving_subset(graph, bound, stop_at_first=True) is None
 

@@ -3,9 +3,10 @@
 Rejection sampling on purpose: a constructive generator would bake the
 decomposition into the instance and make downstream success trivial. Draw
 floor(bound * (n-1)) edges uniformly, keep the graph iff the exact
-threshold test accepts it. That test peels first and rejects only on a
-witness set S with q |E(S)| > p (|S| - 1) for bound p/q; acceptance is
-always decided by a flow, so peeling changes no decision.
+threshold test accepts it. Each draw is peeled as raw pairs, before any
+Graph is built, and rejected only on a witness set S with
+q |E(S)| > p (|S| - 1) for bound p/q; survivors become a Graph whose
+acceptance is always decided by a flow, so peeling changes no decision.
 
 The stream is splitmix64 so instances are portable: state advances by the
 64-bit constant 0x9E3779B97F4A7C15 and each output is the finalizer
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arboricity import fractional_arboricity_at_most
+from .arboricity import _peeling_exceeds, fractional_arboricity_at_most
 from .graphs import Graph
 
 _MASK64 = (1 << 64) - 1
@@ -33,8 +34,7 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + _GOLDEN) & _MASK64
-        z = self.state
+        z = self.state = (self.state + _GOLDEN) & _MASK64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
@@ -85,29 +85,24 @@ class GenerationError(RuntimeError):
         )
 
 
-def _pair_from_index(n: int, p: int) -> tuple[int, int]:
-    # lexicographic rank over pairs (0,1), (0,2), ..., (n-2,n-1)
-    u = 0
-    row = n - 1
-    while p >= row:
-        p -= row
-        u += 1
-        row -= 1
-    return (u, u + 1 + p)
-
-
-def _draw_simple(rng: SplitMix64, n: int, m: int) -> list[tuple[int, int]]:
-    # partial Fisher-Yates over pair indices, sparse via dict
-    total = n * (n - 1) // 2
-    swap: dict[int, int] = {}
-    picked = []
+def _draw_simple(rng: SplitMix64, pairs: list[tuple[int, int]], m: int) -> list[tuple[int, int]]:
+    # partial Fisher-Yates over a copy of the pair table, SplitMix64.below inlined
+    pool = pairs[:]
+    total = len(pool)
+    state = rng.state
     for i in range(m):
-        j = i + rng.below(total - i)
-        vi = swap.get(i, i)
-        vj = swap.get(j, j)
-        picked.append(vj)
-        swap[j] = vi
-    return sorted(_pair_from_index(n, p) for p in picked)
+        limit = (1 << 64) - (1 << 64) % (total - i)
+        while True:
+            state = (state + _GOLDEN) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            z ^= z >> 31
+            if z < limit:
+                break
+        j = i + z % (total - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    rng.state = state
+    return pool[:m]
 
 
 def _draw_multi(rng: SplitMix64, n: int, m: int) -> list[tuple[int, int]]:
@@ -118,7 +113,7 @@ def _draw_multi(rng: SplitMix64, n: int, m: int) -> list[tuple[int, int]]:
         if v >= u:
             v += 1
         out.append((u, v) if u < v else (v, u))
-    return sorted(out)
+    return out
 
 
 def generate(spec: GenSpec) -> Graph:
@@ -128,12 +123,15 @@ def generate(spec: GenSpec) -> Graph:
     if n <= 1:
         return Graph(n, ())
     m = int(spec.target_bound * (n - 1))
-    if not spec.allow_parallel and m > n * (n - 1) // 2:
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not spec.allow_parallel and m > len(pairs):
         raise ValueError(f"{m} edges do not fit in a simple graph on {n} vertices")
     rng = SplitMix64(spec.seed)
-    draw = _draw_multi if spec.allow_parallel else _draw_simple
-    for attempt in range(1, spec.max_rejections + 1):
-        graph = Graph(n, tuple(draw(rng, n, m)))
-        if fractional_arboricity_at_most(graph, spec.target_bound):
-            return graph
+    p, q = spec.target_bound.as_integer_ratio()
+    for _ in range(spec.max_rejections):
+        edges = _draw_multi(rng, n, m) if spec.allow_parallel else _draw_simple(rng, pairs, m)
+        if not _peeling_exceeds(n, edges, p, q):
+            graph = Graph(n, tuple(sorted(edges)))
+            if fractional_arboricity_at_most(graph, spec.target_bound):
+                return graph
     raise GenerationError(spec, spec.max_rejections)

@@ -40,6 +40,8 @@ from .limits import (
     check_gate,
 )
 
+_TRANSFORM_PIECE = 1 << 13  # longest slice of union_rank_table's transform
+
 
 class RankOracle:
     """A matroid presented by its rank function over ground set 0..size-1."""
@@ -286,9 +288,9 @@ def union_rank_table(graph: Graph, k: int) -> list[int]:
     loop never does). The second is the subset-min transform (Yates 1937):
     for each bit, s[X] = min(s[X], s[X - bit] + 1) over every X holding the
     bit, in place, one map over a pair of slices at a time. The list is
-    then r_k. Besides the list, memory holds the slices of one step, each
-    at most half the list long; no popcount or second table is kept. The full-set entry is
-    checked against the augmenting union_rank before the table is returned.
+    then r_k. Besides the list, memory holds one slice pair and its result,
+    each at most _TRANSFORM_PIECE long for any m; no popcount or second table
+    is kept. The full set is checked against the augmenting union_rank.
     """
     m = graph.edge_count
     if m > UNION_TABLE_HARD_CAP:
@@ -331,16 +333,16 @@ def union_rank_table(graph: Graph, k: int) -> list[int]:
     for i in range(m):
         step = 1 << i
         block = step << 1
+        # low bit: a strided run per offset in a block; high bit: a run per block
         if step <= 1 << (m - 1 - i):
-            # low bit: one strided slice pair per offset inside a block
-            for off in range(step):
-                hi = slice(off + step, None, block)
-                table[hi] = map(min, table[hi], map(plus_one, table[off::block]))
+            starts, stride, count = range(step), block, 1 << (m - 1 - i)
         else:
-            # high bit: one contiguous slice pair per block
-            for base in range(0, 1 << m, block):
-                hi = slice(base + step, base + block)
-                table[hi] = map(min, table[hi], map(plus_one, table[base:base + step]))
+            starts, stride, count = range(0, 1 << m, block), 1, step
+        span = min(count, _TRANSFORM_PIECE) * stride
+        for start in starts:
+            for lo in range(start, start + count * stride, span):
+                hi = slice(lo + step, lo + step + span, stride)
+                table[hi] = map(min, table[hi], map(plus_one, table[lo:lo + span:stride]))
 
     full = (1 << m) - 1
     if table[full] != union_rank(graph, k, range(m)):

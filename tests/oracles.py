@@ -3,11 +3,15 @@
 These are deliberately independent of the library internals: plain set
 scans and ascending-size searches, no bitmask tables or augmenting paths
 shared with the package. Everything here is exponential and must only be
-fed small inputs.
+fed small inputs. The one exception is reference_sample, the generator's
+rejection sampler written one plain step at a time on top of the library's
+public random stream and threshold test.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from arborkit import Graph, SplitMix64, fractional_arboricity_at_most
 
 
 def subgraph_rank(graph, edges):
@@ -223,3 +227,33 @@ def brute_arboricity(graph):
     while not forest_cover_exists(graph, k, range(graph.edge_count)):
         k += 1
     return k
+
+
+def reference_sample(n, bound, seed, max_rejections, allow_parallel=False):
+    """The generator's rejection sampler, step by step: every draw calls
+    SplitMix64.below, sorts its pairs into a Graph and asks the threshold
+    test. Returns (graph, number of the accepting draw), or
+    (None, max_rejections) when no draw within the budget is accepted."""
+    rng = SplitMix64(seed)
+    m = int(bound * (n - 1))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for attempt in range(1, max_rejections + 1):
+        edges = []
+        if allow_parallel:
+            for _ in range(m):
+                u = rng.below(n)
+                v = rng.below(n - 1)
+                if v >= u:
+                    v += 1
+                edges.append((min(u, v), max(u, v)))
+        else:
+            # partial Fisher-Yates over the explicit list of pairs
+            pool = list(pairs)
+            for i in range(m):
+                j = i + rng.below(len(pool) - i)
+                pool[i], pool[j] = pool[j], pool[i]
+                edges.append(pool[i])
+        graph = Graph(n, tuple(sorted(edges)))
+        if fractional_arboricity_at_most(graph, bound):
+            return graph, attempt
+    return None, max_rejections

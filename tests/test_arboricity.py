@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arborkit import (
     Graph,
@@ -16,6 +17,7 @@ from arborkit import (
     is_infinite,
     partition_into_forests,
 )
+from arborkit.arboricity import _peeling_exceeds
 from helpers import (
     complete_bipartite,
     complete_graph,
@@ -193,3 +195,23 @@ def test_check_subgraph_bound():
     assert check_subgraph_bound(Graph(1, ((0, 0),)), {0})
     with pytest.raises(ValueError):
         check_subgraph_bound(g, {9})
+
+
+@st.composite
+def loop_free_pair_lists(draw):
+    """Up to 7 vertices and 14 edges as a raw pair list, parallel edges
+    allowed, no loops, endpoints in either order."""
+    n = draw(st.integers(2, 7))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(lambda t: (t[0], (t[0] + t[1]) % n))
+    return n, draw(st.lists(pair, max_size=14))
+
+
+@settings(max_examples=300, deadline=None)
+@given(loop_free_pair_lists(), st.integers(1, 16), st.integers(1, 6), st.data())
+def test_peeling_witness_is_sound_and_order_free(drawn, p, q, data):
+    n, edges = drawn
+    exceeds = _peeling_exceeds(n, edges, p, q)
+    if exceeds:
+        assert brute_frac_arboricity(Graph(n, tuple(edges))) > Fraction(p, q)
+    # the generator peels its draws before sorting them
+    assert _peeling_exceeds(n, data.draw(st.permutations(edges)), p, q) == exceeds

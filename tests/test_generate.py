@@ -14,7 +14,7 @@ from arborkit import (
     fractional_arboricity_at_most,
     generate,
 )
-from oracles import brute_frac_arboricity
+from oracles import brute_frac_arboricity, reference_sample
 
 
 def test_splitmix64_reference_vectors():
@@ -141,3 +141,42 @@ def test_budget_exhaustion_is_pinned():
         (0, 3), (0, 10), (1, 7), (1, 8), (2, 4), (2, 8),
         (3, 4), (4, 6), (5, 6), (5, 9), (7, 9), (7, 10),
     )
+
+
+# theorem5 at k = 1 and k = 2, and theorem2ii
+SAMPLER_BOUNDS = (Fraction(6, 5), Fraction(17, 8), Fraction(3, 2))
+
+
+def _assert_matches_reference(n, bound, seed, budget, allow_parallel=False):
+    expected, attempts = reference_sample(n, bound, seed, budget, allow_parallel)
+    spec = GenSpec(n=n, target_bound=bound, seed=seed, max_rejections=budget, allow_parallel=allow_parallel)
+    if expected is None:
+        with pytest.raises(GenerationError) as err:
+            generate(spec)
+        assert err.value.attempts == budget
+        return
+    assert generate(spec) == expected
+    if attempts > 1:
+        # a budget one short of the accepting draw must run dry
+        short = replace(spec, max_rejections=attempts - 1)
+        with pytest.raises(GenerationError) as err:
+            generate(short)
+        assert err.value.attempts == attempts - 1
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_generator_matches_reference_sampler(n):
+    # the bound n/2 asks for every possible pair, the complete graph
+    for bound in SAMPLER_BOUNDS + (Fraction(n, 2),):
+        if int(bound * (n - 1)) > n * (n - 1) // 2:
+            with pytest.raises(ValueError):
+                generate(GenSpec(n=n, target_bound=bound))
+            continue
+        for seed in range(30):
+            _assert_matches_reference(n, bound, seed, budget=60)
+
+
+def test_parallel_generator_matches_reference_sampler():
+    for n in (2, 5, 9):
+        for seed in range(30):
+            _assert_matches_reference(n, Fraction(17, 8), seed, budget=60, allow_parallel=True)

@@ -19,6 +19,7 @@ from arborkit import (
     union_rank,
     union_rank_table,
 )
+from arborkit import matroid
 from arborkit.matroid import _ForestPartition
 from helpers import complete_graph, cycle, doubled_cycle, path
 from oracles import brute_union_rank, dual_rank_via_bases, subgraph_rank
@@ -288,6 +289,18 @@ def test_union_rank_table_matches_augmenting_on_corpus(multigraph_corpus):
     assert len(small) > 100
     for g in small:
         for k in range(4):
+            _assert_table_matches_augmenting(g, k)
+
+
+@pytest.mark.parametrize("piece", [1, 2, 8])
+def test_union_rank_table_cut_into_small_pieces(monkeypatch, multigraph_corpus, piece):
+    # tables up to 14 edges take each transform step in one slice pair; a
+    # small piece runs the path that cuts the steps of larger tables
+    monkeypatch.setattr(matroid, "_TRANSFORM_PIECE", piece)
+    graphs = [g for g in multigraph_corpus if 8 <= g.edge_count <= 10][:8]
+    assert len(graphs) == 8
+    for g in graphs:
+        for k in (1, 2):
             _assert_table_matches_augmenting(g, k)
 
 
