@@ -65,16 +65,7 @@ from .matroid import (
     union_rank,
     union_rank_table,
 )
-from .prooftrace import (
-    FlatRecord,
-    ProofTraceReport,
-    build_dual_union_oracle,
-    check_basic_observation,
-    check_inters_condition,
-    check_link,
-    check_mindeg_flats,
-    run_prooftrace,
-)
+from .prooftrace import FlatRecord, ProofTraceReport, run_prooftrace
 from .rationals import INFINITE, Infinite, ceil_value, format_value, is_infinite, parse_fraction
 
 __version__ = "0.1.0"

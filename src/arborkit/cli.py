@@ -240,7 +240,7 @@ def cmd_domination(args) -> int:
 
 def cmd_prooftrace(args) -> int:
     graph = _load_graph(args.file)
-    report = run_prooftrace(graph, args.k, max_edges=args.max_edges)
+    report = run_prooftrace(graph, args.k)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -346,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prooftrace", help="desk-scale structural check battery")
     p.add_argument("file", help="graph file, or - for stdin")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-edges", type=int, help="override the size gate")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_prooftrace)
 

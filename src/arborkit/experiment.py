@@ -185,6 +185,8 @@ def _run_cell(args: tuple[ExperimentConfig, int, int]) -> CellResult:
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[CellResult]:
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     cells = [(config, k, n) for k in config.k_values for n in config.n_values]
     if jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -71,6 +71,8 @@ class GenSpec:
             raise ValueError("n must be nonnegative")
         if self.max_rejections < 1:
             raise ValueError("max_rejections must be positive")
+        if isinstance(self.target_bound, float):
+            raise ValueError("target_bound must be exact (an int or a Fraction), not a float")
         if self.n > 1 and self.target_bound < 1:
             raise ValueError("target_bound must be at least 1 when n > 1")
 

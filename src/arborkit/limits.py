@@ -1,7 +1,7 @@
 """Desk-scale gates for the exhaustive searches.
 
-All gates honor the ARBORKIT_MAX_EDGES environment variable so a caller who
-accepts the runtime cost can raise (or lower) every limit at once.
+Every gate but UNION_TABLE_HARD_CAP honors the ARBORKIT_MAX_EDGES environment
+variable, so a caller who accepts the runtime cost can raise (or lower) them at once.
 """
 
 from __future__ import annotations

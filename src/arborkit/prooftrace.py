@@ -17,48 +17,13 @@ from fractions import Fraction
 from .arboricity import fractional_arboricity_at_most
 from .domination import _edge_domination_core
 from .graphs import Graph, edge_induced_subgraph, line_graph
-from .limits import (
-    PROOFTRACE_DEFAULT,
-    UNION_TABLE_HARD_CAP,
-    DeskScaleExceeded,
-    check_gate,
-)
-from .matroid import RankOracle, _bits, dual_oracle, flat_masks, union_oracle, union_rank_table
+from .limits import PROOFTRACE_DEFAULT, check_gate
+from .matroid import _bits, flat_masks, union_rank_table
 from .rationals import Infinite, format_value, is_infinite
 
 VERDICT_PASS = "PASS"
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
 VERDICT_FAIL = "FAIL"
-
-
-def _gate(graph: Graph, max_edges: int | None, what: str) -> None:
-    if max_edges is None:
-        check_gate(graph.edge_count, PROOFTRACE_DEFAULT, what)
-    elif graph.edge_count > max_edges:
-        raise DeskScaleExceeded(
-            f"{what}: size {graph.edge_count} exceeds the desk-scale limit {max_edges}"
-        )
-
-
-def build_dual_union_oracle(graph: Graph, k: int) -> RankOracle:
-    """Rank oracle for the dual of the k-fold cycle-matroid union: the dual
-    formula |X| + r(E - X) - r(E) read from a union rank table when the graph
-    is small enough, else dual_oracle over per-call union ranks."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    m = graph.edge_count
-    if m > UNION_TABLE_HARD_CAP:
-        return dual_oracle(union_oracle(graph, k))
-    table = union_rank_table(graph, k)
-    full = (1 << m) - 1
-
-    def fn(subset: frozenset[int]) -> int:
-        mask = 0
-        for e in subset:
-            mask |= 1 << e
-        return len(subset) + table[full ^ mask] - table[full]
-
-    return RankOracle(m, fn)
 
 
 def _matching_masks(graph: Graph) -> list[int]:
@@ -93,7 +58,9 @@ def _matching_masks(graph: Graph) -> list[int]:
     return out
 
 
-def _link_agrees(graph: Graph, k: int, table: list[int]) -> bool:
+def _link_agrees(graph: Graph, table: list[int]) -> bool:
+    """(a) E splits into k forests plus a matching iff (b) the dual of the
+    k-fold union has a base that is a matching; True when both agree."""
     m = graph.edge_count
     full_mask = (1 << m) - 1
     ur_full = table[full_mask]
@@ -106,17 +73,9 @@ def _link_agrees(graph: Graph, k: int, table: list[int]) -> bool:
     return covered == base_found
 
 
-def check_link(graph: Graph, k: int, max_edges: int | None = None) -> bool:
-    """Brute-forces both statements and reports whether they agree:
-    (a) the edge set splits into k forests plus a matching;
-    (b) the dual of the k-fold union has a base that is a matching."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    _gate(graph, max_edges, "check_link")
-    return _link_agrees(graph, k, union_rank_table(graph, k))
-
-
-def _basic_obs_holds(graph: Graph, k: int, table: list[int]) -> bool:
+def _basic_obs_holds(graph: Graph, table: list[int]) -> bool:
+    """X is independent in the dual union matroid iff X is disjoint from
+    some maximum-size k-forest-coverable edge set."""
     m = graph.edge_count
     full_mask = (1 << m) - 1
     ur_full = table[full_mask]
@@ -145,15 +104,6 @@ def _basic_obs_holds(graph: Graph, k: int, table: list[int]) -> bool:
         if independent != (mask in avoiders):
             return False
     return True
-
-
-def check_basic_observation(graph: Graph, k: int, max_edges: int | None = None) -> bool:
-    """Exhaustive: X is independent in the dual union matroid iff X is
-    disjoint from some maximum-size k-forest-coverable edge set."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    _gate(graph, max_edges, "check_basic_observation")
-    return _basic_obs_holds(graph, k, union_rank_table(graph, k))
 
 
 @dataclass(frozen=True)
@@ -218,47 +168,6 @@ def _flat_records(graph: Graph, k: int, table: list[int]) -> list[FlatRecord]:
 
 
 @dataclass(frozen=True)
-class MindegCheck:
-    ok: bool
-    records: tuple[FlatRecord, ...]
-
-
-@dataclass(frozen=True)
-class IntersCheck:
-    ok: bool
-    hypothesis_ok: bool
-    records: tuple[FlatRecord, ...]
-
-
-def check_mindeg_flats(graph: Graph, k: int, max_edges: int | None = None) -> MindegCheck:
-    """Every flat's complement induces an empty subgraph or one with min
-    degree at least k+1. No hypothesis on the graph."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    _gate(graph, max_edges, "check_mindeg_flats")
-    records = tuple(_flat_records(graph, k, union_rank_table(graph, k)))
-    return MindegCheck(ok=all(r.mindeg_ok for r in records), records=records)
-
-
-def check_inters_condition(graph: Graph, k: int, max_edges: int | None = None) -> IntersCheck:
-    """For every complement X of a flat: gamma_p(G[X]) >= |X| - union_rank(X).
-
-    The sparsity hypothesis (fractional arboricity <= k + 1/(3k+2)) is
-    flagged, not enforced; records are produced either way.
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    _gate(graph, max_edges, "check_inters_condition")
-    hyp = fractional_arboricity_at_most(graph, k + Fraction(1, 3 * k + 2))
-    records = tuple(_flat_records(graph, k, union_rank_table(graph, k)))
-    return IntersCheck(
-        ok=all(r.inters_status == "pass" for r in records),
-        hypothesis_ok=hyp,
-        records=records,
-    )
-
-
-@dataclass(frozen=True)
 class ProofTraceReport:
     vertices: int
     edges: int
@@ -283,7 +192,7 @@ class ProofTraceReport:
         }
 
 
-def run_prooftrace(graph: Graph, k: int, max_edges: int | None = None) -> ProofTraceReport:
+def run_prooftrace(graph: Graph, k: int) -> ProofTraceReport:
     """Run the whole battery once and fold the outcomes into one verdict.
 
     FAIL needs a violated unconditional fact (link, basic sets, or flat
@@ -292,11 +201,11 @@ def run_prooftrace(graph: Graph, k: int, max_edges: int | None = None) -> ProofT
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    _gate(graph, max_edges, "run_prooftrace")
+    check_gate(graph.edge_count, PROOFTRACE_DEFAULT, "run_prooftrace")
     table = union_rank_table(graph, k)
     records = tuple(_flat_records(graph, k, table))
-    link_ok = _link_agrees(graph, k, table)
-    basic_ok = _basic_obs_holds(graph, k, table)
+    link_ok = _link_agrees(graph, table)
+    basic_ok = _basic_obs_holds(graph, table)
     hyp = fractional_arboricity_at_most(graph, k + Fraction(1, 3 * k + 2))
     mindeg_all = all(r.mindeg_ok for r in records)
     inters_all = all(r.inters_status == "pass" for r in records)

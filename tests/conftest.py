@@ -9,7 +9,7 @@ thin on, mainly high minimum degree at low density.
 import networkx as nx
 import pytest
 
-from arborkit import Graph, SplitMix64, derive_seed, fractional_arboricity
+from arborkit import Graph, SplitMix64, derive_seed, fractional_arboricity, run_prooftrace
 
 import helpers
 
@@ -87,11 +87,17 @@ class CorpusCache:
     def __init__(self, graphs):
         self.graphs = graphs
         self._frac = {}
+        self._prooftrace = {}
 
     def frac(self, idx):
         if idx not in self._frac:
             self._frac[idx] = fractional_arboricity(self.graphs[idx]).value
         return self._frac[idx]
+
+    def prooftrace(self, idx, k):
+        if (idx, k) not in self._prooftrace:
+            self._prooftrace[idx, k] = run_prooftrace(self.graphs[idx], k)
+        return self._prooftrace[idx, k]
 
 
 @pytest.fixture(scope="session")

@@ -14,8 +14,6 @@ from arborkit import (
     GenSpec,
     arboricity,
     check_conn_chain,
-    check_link,
-    check_mindeg_flats,
     cycle_rank,
     decompose_forests_bounded,
     decompose_forests_matching,
@@ -169,7 +167,7 @@ def test_criterion_05_low_density_variants():
     _report(5, "forest+matching at 4/3 and two forests at 3/2", not failures and elapsed < 600, detail)
 
 
-def test_criterion_06_flat_complements_have_min_degree(corpus):
+def test_criterion_06_flat_complements_have_min_degree(corpus, corpus_cache):
     start = time.perf_counter()
     bad = []
     pairs = 0
@@ -178,8 +176,8 @@ def test_criterion_06_flat_complements_have_min_degree(corpus):
             continue
         for k in (1, 2):
             pairs += 1
-            res = check_mindeg_flats(g, k)
-            if not res.ok:
+            report = corpus_cache.prooftrace(i, k)
+            if not all(r.mindeg_ok for r in report.records):
                 bad.append((i, k))
     elapsed = time.perf_counter() - start
     detail = f"{pairs} graph/k pairs, {elapsed:.1f}s"
@@ -379,7 +377,7 @@ def test_criterion_09_matroid_layer_exhaustive(corpus):
             not bad and graphs > 0 and elapsed < 300, detail)
 
 
-def test_criterion_10_link_equivalence(corpus):
+def test_criterion_10_link_equivalence(corpus, corpus_cache):
     start = time.perf_counter()
     bad = []
     pairs = 0
@@ -388,7 +386,7 @@ def test_criterion_10_link_equivalence(corpus):
             continue
         for k in (1, 2):
             pairs += 1
-            if not check_link(g, k):
+            if not corpus_cache.prooftrace(i, k).link_ok:
                 bad.append((i, k))
     elapsed = time.perf_counter() - start
     detail = f"{pairs} graph/k pairs, {elapsed:.1f}s"

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from arborkit import Graph, serialize_graph
 from arborkit.cli import _parse_range, main
@@ -229,6 +230,14 @@ def test_prooftrace_gate_exit(graph_file, capsys, monkeypatch):
     assert "desk-scale limit" in capsys.readouterr().err
 
 
+def test_max_edges_flag_is_gone(graph_file, capsys):
+    f = graph_file("c6.txt", cycle(6))
+    with pytest.raises(SystemExit) as exc:
+        main(["prooftrace", f, "--k", "1", "--max-edges", "20"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_env_gate_override(graph_file, capsys, monkeypatch):
     monkeypatch.setenv("ARBORKIT_MAX_EDGES", "4")
     f = graph_file("c6.txt", cycle(6))
@@ -305,10 +314,17 @@ def test_experiment_cli(capsys):
     assert len(payload["rows"]) == 2
 
 
-def test_experiment_usage_error():
+def test_experiment_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["experiment", "--selector", "theorem5", "--n-range", "5"])
     assert err.value.code == 2
+    for jobs in ("0", "-3"):
+        argv = ["experiment", "--selector", "theorem5", "--n-range", "5", "--trials", "1",
+                "--seed", "0", "--jobs", jobs]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "jobs must be positive" in captured.err
 
 
 def test_unknown_command_usage_error():
@@ -324,3 +340,131 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+# ------------------------------------------------------------ exit-code fuzz
+#
+# Each example is either tame (every value in range, every file well formed,
+# so the commands run to a verdict) or wild (values out of range, malformed
+# graph files and decomposition documents, unknown choices).
+
+def _int_arg(lo, hi, wild):
+    if not wild:
+        return st.integers(lo, hi).map(str)
+    return st.one_of(st.integers(lo - 2, hi + 2).map(str), st.sampled_from(["x", "1.5", ""]))
+
+
+def _choice(tame, wild_extra, wild):
+    return st.sampled_from(tame + wild_extra if wild else tame)
+
+
+@st.composite
+def _graph_text(draw, wild):
+    """Graph files on at most 6 vertices and 8 edges: simple graphs, parallel
+    edges, loops, and malformed lines built from the same small tokens."""
+    shape = draw(_choice(["simple", "parallel", "loops"], ["malformed"], wild))
+    if shape == "malformed":
+        token = st.sampled_from(["0", "1", "2", "3", "6", "7", "-1", "x", "1.5", "#"])
+        lines = draw(st.lists(st.lists(token, max_size=3).map(" ".join), max_size=6))
+        return "\n".join(lines) + "\n"
+    n = draw(st.integers(0, 6))
+    if n == 0:
+        return "0 0\n"
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    if shape == "simple":
+        pairs = draw(st.sets(pair.filter(lambda p: p[0] < p[1]), max_size=8))
+    elif shape == "parallel":
+        pairs = draw(st.lists(pair.filter(lambda p: p[0] != p[1]), max_size=8))
+    else:
+        pairs = draw(st.lists(pair, max_size=8))
+    return serialize_graph(Graph(n, tuple(sorted(pairs))))
+
+
+def _decomposition_doc(wild):
+    doc = st.fixed_dictionaries(
+        {"forests": st.lists(st.lists(st.integers(0, 7), max_size=4), max_size=3)},
+        optional={
+            "remainder": st.one_of(st.none(), st.lists(st.integers(0, 7), max_size=4)),
+            "kind": st.sampled_from(["matching", "forest", "graph"]),
+            "d": st.one_of(st.none(), st.integers(1, 3)),
+        },
+    ).map(json.dumps)
+    if not wild:
+        return doc
+    return st.one_of(doc, st.sampled_from(
+        ["[]", "3", "{}", '{"forests": 1}', '{"forests": [["a"]]}', '{"forests": [[-1]]}',
+         '{"forests": [], "kind": "bogus"}', '{"forests": [], "d": "x"}', "{", ""]))
+
+
+@st.composite
+def _cli_argv(draw, tmp):
+    wild = draw(st.booleans())
+    command = draw(st.sampled_from(
+        ["arboricity", "frac", "partition", "decompose", "verify", "domination",
+         "prooftrace", "gen", "experiment"]))
+
+    def flag(name):
+        return [name] if draw(st.booleans()) else []
+
+    def option(name, values):
+        return [name, draw(values)] if draw(st.booleans()) else []
+
+    if command in ("gen", "experiment"):
+        argv = [command, "--seed", draw(_int_arg(0, 5, wild))]
+        argv += ["--max-rejections", draw(_int_arg(1, 5, wild))] + flag("--parallel-edges")
+    else:
+        graph_path = tmp / "g.txt"
+        graph_path.write_text(draw(_graph_text(wild)), encoding="utf-8")
+        argv = [command, str(graph_path)]
+    if command in ("arboricity", "frac"):
+        argv += flag("--json")
+    elif command in ("partition", "prooftrace"):
+        argv += ["--k", draw(_int_arg(1, 3, wild))] + flag("--json")
+    elif command == "decompose":
+        argv += ["--k", draw(_int_arg(0, 3, wild))] + flag("--json")
+        argv += option("--remainder", _choice(["matching", "forest", "graph"], ["bogus"], wild))
+        argv += option("--d", _int_arg(1, 3, wild))
+    elif command == "verify":
+        doc_path = tmp / "dec.json"
+        doc_path.write_text(draw(_decomposition_doc(wild)), encoding="utf-8")
+        argv += ["--k", draw(_int_arg(0, 3, wild)), "--decomposition", str(doc_path)]
+        argv += option("--d", _int_arg(1, 3, wild))
+    elif command == "domination":
+        argv += ["--kind", draw(_choice(["edge", "two-path"], ["bogus"], wild))] + flag("--json")
+    elif command == "gen":
+        argv += ["--n", draw(_int_arg(0, 8, wild))]
+        argv += ["--bound", draw(_choice(["1", "6/5", "3/2", "5/2"],
+                                         ["0", "1/0", "-1", "1.2", "x"], wild))]
+        argv += ["-o", draw(_choice(["-", str(tmp / "out.txt")],
+                                    [str(tmp / "missing" / "out.txt")], wild))]
+    elif command == "experiment":
+        argv += ["--selector", draw(_choice(
+            ["theorem5", "theorem2i", "theorem2ii", "conjecture", "custom"], ["bogus"], wild))]
+        argv += ["--k-range", draw(_choice(["1", "1,2", "2"], ["0", "-1", "2:1", "x"], wild))]
+        argv += ["--n-range", draw(_choice(["0", "1:3", "5", "5:6"], ["-1", "3:2", "x"], wild))]
+        argv += ["--trials", draw(_int_arg(1, 2, wild))]
+        argv += option("--d", _int_arg(1, 2, wild))
+        argv += option("--bound", _choice(["3/2", "2"], ["0", "x"], wild))
+        argv += option("--remainder", _choice(["matching", "forest", "graph"], [], wild))
+        # one worker at most: a process pool per example would make the test slow
+        argv += ["--jobs", draw(_int_arg(1, 1, wild))]
+        argv += option("--json", _choice(["-", str(tmp / "r.json")], [], wild))
+    return argv
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_exit_codes_under_fuzz(tmp_path, monkeypatch, capsys, data):
+    env = data.draw(st.sampled_from([None, "2", "30", "x"]))
+    if env is None:
+        monkeypatch.delenv("ARBORKIT_MAX_EDGES", raising=False)
+    else:
+        monkeypatch.setenv("ARBORKIT_MAX_EDGES", env)
+    argv = data.draw(_cli_argv(tmp_path))
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        rc = exc.code
+    capsys.readouterr()
+    assert rc in (0, 1, 2), argv

@@ -51,6 +51,9 @@ def test_genspec_validation():
         GenSpec(n=5, target_bound=Fraction(1, 2))
     with pytest.raises(ValueError):
         GenSpec(n=5, target_bound=Fraction(2), max_rejections=0)
+    # a float bound is inexact: 1.2 sits just below 6/5, which 6 edges on 6 vertices exceed
+    with pytest.raises(ValueError):
+        GenSpec(n=6, target_bound=1.2, seed=0)
     # bounds below 1 are fine when no edges can exist
     GenSpec(n=1, target_bound=Fraction(1, 2))
 

@@ -3,13 +3,10 @@ import pytest
 from arborkit import (
     DeskScaleExceeded,
     Graph,
-    build_dual_union_oracle,
-    check_basic_observation,
-    check_inters_condition,
-    check_link,
-    check_mindeg_flats,
+    dual_oracle,
     enumerate_flats,
     run_prooftrace,
+    union_oracle,
 )
 from arborkit.prooftrace import VERDICT_INCONCLUSIVE, VERDICT_PASS
 from helpers import complete_graph, cycle, doubled_cycle, path
@@ -18,33 +15,28 @@ from oracles import brute_flats, brute_union_rank, dual_rank_via_bases
 
 def test_dual_union_oracle_frozen_ranks():
     tri = cycle(3)
-    oracle = build_dual_union_oracle(tri, 1)
+    oracle = dual_oracle(union_oracle(tri, 1))
     assert oracle.rank(()) == 0
     assert oracle.rank({0}) == 1
     assert oracle.rank({0, 1}) == 1
     assert oracle.rank(tri.full_edge_set()) == 1
 
     k4 = complete_graph(4)
-    zero = build_dual_union_oracle(k4, 2)
+    zero = dual_oracle(union_oracle(k4, 2))
     for subset in ({0}, {0, 3}, k4.full_edge_set()):
         assert zero.rank(subset) == 0
 
 
-def test_dual_union_oracle_large_graph_fallback():
-    # 21 edges exceeds the table cap, so ranks come per call
-    k7 = complete_graph(7)
-    oracle = build_dual_union_oracle(k7, 1)
-    assert oracle.rank(()) == 0
-    assert oracle.rank({0}) == 1
-
-
 def test_dual_union_oracle_rejects_negative_k():
     with pytest.raises(ValueError):
-        build_dual_union_oracle(cycle(3), -1)
+        dual_oracle(union_oracle(cycle(3), -1)).rank({0})
 
 
 def test_flat_records_agree_with_generic_enumeration():
-    for g in (cycle(3), complete_graph(4), path(4), doubled_cycle(3)):
+    loop_and_edge = Graph(2, ((0, 0), (0, 1)))
+    parallel_and_loop = Graph(3, ((0, 1), (0, 1), (1, 2), (2, 2)))
+    for g in (cycle(3), complete_graph(4), path(4), doubled_cycle(3), loop_and_edge,
+              parallel_and_loop):
         ground = g.full_edge_set()
         for k in (1, 2):
             report = run_prooftrace(g, k)
@@ -57,7 +49,7 @@ def test_flat_records_agree_with_generic_enumeration():
 
             expected = brute_flats(dual_rank_fn, ground)
             assert from_records == expected
-            assert set(enumerate_flats(build_dual_union_oracle(g, k))) == expected
+            assert set(enumerate_flats(dual_oracle(union_oracle(g, k)))) == expected
 
 
 def test_triangle_prooftrace_frozen():
@@ -101,38 +93,35 @@ def test_doubled_triangle_is_inconclusive():
 
 
 def test_check_link_frozen():
-    assert check_link(cycle(3), 1)
-    assert check_link(complete_graph(4), 1)
-    assert check_link(complete_graph(4), 2)
-    assert check_link(Graph(3, ()), 1)
+    assert run_prooftrace(cycle(3), 1).link_ok
+    assert run_prooftrace(complete_graph(4), 1).link_ok
+    assert run_prooftrace(complete_graph(4), 2).link_ok
+    assert run_prooftrace(Graph(3, ()), 1).link_ok
 
 
 def test_check_basic_observation_frozen():
-    assert check_basic_observation(cycle(3), 1)
-    assert check_basic_observation(complete_graph(4), 2)
-    assert check_basic_observation(doubled_cycle(3), 1)
-    assert check_basic_observation(Graph(2, ((0, 0), (0, 1))), 1)
+    assert run_prooftrace(cycle(3), 1).basic_obs_ok
+    assert run_prooftrace(complete_graph(4), 2).basic_obs_ok
+    assert run_prooftrace(doubled_cycle(3), 1).basic_obs_ok
+    assert run_prooftrace(Graph(2, ((0, 0), (0, 1))), 1).basic_obs_ok
 
 
 def test_check_mindeg_flats():
-    res = check_mindeg_flats(cycle(6), 1)
-    assert res.ok
-    assert all(r.mindeg_ok for r in res.records)
-    res = check_mindeg_flats(complete_graph(4), 2)
-    assert res.ok and len(res.records) == 1
-    res = check_mindeg_flats(Graph(3, ()), 1)
-    assert res.ok
+    report = run_prooftrace(cycle(6), 1)
+    assert all(r.mindeg_ok for r in report.records)
+    report = run_prooftrace(complete_graph(4), 2)
+    assert all(r.mindeg_ok for r in report.records) and len(report.records) == 1
+    report = run_prooftrace(Graph(3, ()), 1)
+    assert all(r.mindeg_ok for r in report.records)
 
 
 def test_check_inters_condition():
-    res = check_inters_condition(cycle(6), 1)
-    assert res.ok
-    assert res.hypothesis_ok
-    res = check_inters_condition(doubled_cycle(3), 1)
-    assert not res.ok
-    assert not res.hypothesis_ok
-    with pytest.raises(ValueError):
-        check_inters_condition(cycle(3), 0)
+    report = run_prooftrace(cycle(6), 1)
+    assert all(r.inters_status == "pass" for r in report.records)
+    assert report.hypothesis_ok
+    report = run_prooftrace(doubled_cycle(3), 1)
+    assert not all(r.inters_status == "pass" for r in report.records)
+    assert not report.hypothesis_ok
 
 
 def test_report_json_shape():
@@ -155,14 +144,16 @@ def test_gates(monkeypatch):
     monkeypatch.delenv("ARBORKIT_MAX_EDGES", raising=False)
     with pytest.raises(DeskScaleExceeded):
         run_prooftrace(path(16), 1)
+    monkeypatch.setenv("ARBORKIT_MAX_EDGES", "5")
     with pytest.raises(DeskScaleExceeded):
-        run_prooftrace(cycle(6), 1, max_edges=5)
-    # an explicit limit can also widen past the default
-    assert check_link(path(16), 1, max_edges=15)
+        run_prooftrace(cycle(6), 1)
+    # the variable can also widen past the default
+    monkeypatch.setenv("ARBORKIT_MAX_EDGES", "15")
+    assert run_prooftrace(path(16), 1).link_ok
 
 
 def test_k_validation():
     with pytest.raises(ValueError):
         run_prooftrace(cycle(3), 0)
     with pytest.raises(ValueError):
-        check_link(cycle(3), -1)
+        run_prooftrace(cycle(3), -1)
