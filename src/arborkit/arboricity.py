@@ -3,18 +3,25 @@
 fractional_arboricity maximizes |E(S)| / (|S| - 1) over vertex subsets with
 at least two vertices, as an exact rational. It runs a Dinkelbach-style
 iteration: lambda starts at the density of the whole vertex set and each
-step solves max |E(S)| - lambda (|S| - 1) through an integer min-cut (one
-flow per choice of a vertex whose membership is free, which makes the "-1"
-in the denominator exact rather than approximate). Every step either
-certifies that no subset beats lambda or produces a strictly denser subset,
-so the candidate densities visited strictly increase and the loop ends
-after at most the number of distinct densities.
+step solves max |E(S)| - lambda (|S| - 1) through integer min cuts, one
+per vertex v in increasing order, with v free of the per-vertex charge,
+which makes the "-1" in the denominator exact rather than approximate
+(Picard and Queyranne 1982). The flow for v is built over the edges among
+v..n-1 alone: a set with a lower vertex was weighed at that vertex
+already (vertex elimination, as in Gabow's parametric flows, 1998). The
+first vertex to reach the best excess sees all its maximizers in its
+smaller network, so the witness is the one full-size flows give. Every
+step either certifies that no subset beats lambda or produces a strictly
+denser subset, so the candidate densities visited strictly increase and
+the loop ends after at most the number of distinct densities.
 
 The threshold test gamma_f <= p/q peels first: greedy min-degree peeling
 (Charikar 2000) walks a chain of ever smaller vertex sets, and the test
 rejects at once if one of them has q |E(S)| > p (|S| - 1), checked exactly
 in integers. Only when no peeled set is that dense does it solve min cuts,
-so acceptance is always decided by a flow.
+so acceptance is always decided by a flow. Neither the density loop nor
+the peel walks vertices that no edge touches, so a sparse graph with a
+huge vertex count costs what its edges cost.
 
 arboricity partitions into k = 1, 2, ... forests until a partition exists.
 Its witness is the vertex set S of the violating edge set T of the last
@@ -86,35 +93,50 @@ def _improving_subset(
 ) -> frozenset[int] | None:
     """A vertex set S, |S| >= 2, with |E(S)| - lam (|S| - 1) maximal and > 0.
 
-    None when no subset has positive excess (so gamma_f <= lam). One min-cut
-    is solved per "free" vertex; with the free vertex exempt from the
-    per-vertex charge, the best source side realizes the |S| - 1 objective.
+    None when no subset has positive excess (so gamma_f <= lam). One min cut
+    is solved per vertex v, in the order v = 0, 1, ...: v is free of the
+    per-vertex charge, so the cut weighs |E(S)| - lam (|S| - 1) over the sets
+    S whose lowest vertex is v. A set holding a vertex below v was weighed
+    at that vertex already, so the flow for v is built only over the edges
+    among v..n-1 and their endpoints; a v that is the lower endpoint of no
+    edge is skipped, and the loop ends with the last such v.
+
+    The witness is the one the full-size flows give. Let v be the first
+    vertex whose flow reaches the largest excess: a maximizing set with a
+    vertex u < v would reach it at u already, so every maximizer of the
+    full flow for v lies within the smaller network, and both have the same
+    minimal min-cut source side. Flows for other vertices see fewer sets
+    and so never beat it.
     """
-    n, m = graph.vertex_count, graph.edge_count
     p, q = lam.numerator, lam.denominator
-    big = q * m + p * n + 1
+    # edges by lower endpoint: those among v..n-1 are a suffix
+    pairs = sorted((u, v) if u <= v else (v, u) for u, v in graph.endpoints)
     best_excess = 0
     best: frozenset[int] | None = None
-    for free in range(n):
-        # nodes: 0 source, 1 sink, 2..2+m-1 edge nodes, 2+m..2+m+n-1 vertices
-        net = MaxFlow(2 + m + n)
-        for e, (u, v) in enumerate(graph.endpoints):
-            net.add_edge(0, 2 + e, q)
-            net.add_edge(2 + e, 2 + m + u, big)
+    for start, (free, _) in enumerate(pairs):
+        if start and pairs[start - 1][0] == free:
+            continue
+        edges = pairs[start:]
+        m = len(edges)
+        verts = sorted({x for e in edges for x in e})
+        # nodes: 0 source, 1 sink, 2..2+m-1 edge nodes, then one per vertex
+        node = {x: 2 + m + i for i, x in enumerate(verts)}
+        big = q * m + p * len(verts) + 1
+        net = MaxFlow(2 + m + len(verts))
+        for e, (u, v) in enumerate(edges, 2):
+            net.add_edge(0, e, q)
+            net.add_edge(e, node[u], big)
             if v != u:
-                net.add_edge(2 + e, 2 + m + v, big)
-        for u in range(n):
-            if u != free:
-                net.add_edge(2 + m + u, 1, p)
+                net.add_edge(e, node[v], big)
+        for x in verts[1:]:  # verts[0] is free
+            net.add_edge(node[x], 1, p)
         excess = q * m - net.max_flow(0, 1)
         if excess > best_excess:
             side = net.min_cut_source_side(0)
-            subset = frozenset(u for u in range(n) if (2 + m + u) in side)
-            if _edges_within(graph, subset) > 0:
-                best_excess = excess
-                best = subset
-                if stop_at_first:
-                    return best
+            best_excess = excess
+            best = frozenset(x for x in verts if node[x] in side)
+            if stop_at_first:
+                return best
     return best
 
 
@@ -128,7 +150,7 @@ def fractional_arboricity(graph: Graph) -> FracArbResult:
         return FracArbResult(value=Fraction(0), witness_vertices=frozenset())
     n = graph.vertex_count
     lam = Fraction(graph.edge_count, n - 1)
-    witness = frozenset(range(n))
+    witness: frozenset[int] | None = None  # None: the whole vertex set, built if returned
     steps = 0
     while True:
         steps += 1
@@ -136,7 +158,7 @@ def fractional_arboricity(graph: Graph) -> FracArbResult:
             raise AssertionError("internal error: density iteration failed to terminate")
         subset = _improving_subset(graph, lam)
         if subset is None:
-            return FracArbResult(value=lam, witness_vertices=witness)
+            return FracArbResult(value=lam, witness_vertices=witness or frozenset(range(n)))
         new_lam = _density(graph, subset)
         # candidate densities must strictly increase or the search is wrong
         if new_lam <= lam:
@@ -186,7 +208,12 @@ def fractional_arboricity_at_most(graph: Graph, bound) -> bool:
         return Fraction(0) <= bound
     if bound <= 0:
         return False
-    if _peeling_exceeds(graph.vertex_count, graph.endpoints, bound.numerator, bound.denominator):
+    # peeling takes isolated vertices first and they add no edge, so the
+    # peel of the other vertices, relabelled in order, decides the same
+    used = sorted({x for e in graph.endpoints for x in e})
+    index = {x: i for i, x in enumerate(used)}
+    pairs = [(index[u], index[v]) for u, v in graph.endpoints]
+    if _peeling_exceeds(len(used), pairs, bound.numerator, bound.denominator):
         return False
     return _improving_subset(graph, bound, stop_at_first=True) is None
 

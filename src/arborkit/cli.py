@@ -3,7 +3,8 @@
 Exit codes: 0 for success or a verified/PASS result, 1 for negative
 verdicts (exhausted searches, INCONCLUSIVE or FAIL reports, failed
 verification, generator exhaustion), 2 for usage, input, and size-gate
-errors. Rationals always print as "p/q", never as decimals.
+errors, and for input too large to fit in memory. Rationals always print
+as "p/q", never as decimals.
 """
 
 from __future__ import annotations
@@ -386,6 +387,11 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # the size gates count edges; a huge declared vertex count with few
+        # edges passes them and can still exhaust memory
+        print("error: out of memory: the graph is too large", file=sys.stderr)
         return 2
 
 

@@ -8,7 +8,6 @@ exhaustion and decomposition exhaustion are counted per cell, never fatal.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -189,6 +188,10 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[CellResult]:
         raise ValueError("jobs must be positive")
     cells = [(config, k, n) for k in config.k_values for n in config.n_values]
     if jobs > 1 and len(cells) > 1:
+        # imported here: the pool's modules (multiprocessing and friends)
+        # add about 2.7 MiB to every process that imports arborkit
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_cell, cells))
     else:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import networkx as nx
@@ -65,6 +66,21 @@ def test_fractional_arboricity_degenerate():
     looped = fractional_arboricity(Graph(2, ((0, 1), (1, 1))))
     assert is_infinite(looped.value)
     assert looped.witness_vertices == frozenset({1})
+
+
+def test_sparse_graphs_with_a_huge_vertex_count():
+    # only edges and their endpoints enter the density loop and the peel;
+    # the vertex count alone must not make either walk 10**6 vertices
+    for graph, value, witness in (
+        (Graph(10**6, ((0, 1), (1, 2), (0, 2))), Fraction(3, 2), {0, 1, 2}),
+        (Graph(10**6, ((999998, 999999),)), Fraction(1), {999998, 999999}),
+    ):
+        start = time.perf_counter()
+        res = fractional_arboricity(graph)
+        assert (res.value, res.witness_vertices) == (value, frozenset(witness))
+        assert fractional_arboricity_at_most(graph, value)
+        assert not fractional_arboricity_at_most(graph, value - Fraction(1, 1000))
+        assert time.perf_counter() - start < 0.5
 
 
 def test_at_most_threshold():
@@ -148,6 +164,119 @@ DISCONNECTED = (
     disjoint_union(doubled_cycle(3), petersen(), doubled_cycle(5)),
     disjoint_union(star(4), Graph(3, ()), complete_graph(6), cycle(3)),
 )
+
+
+# The exact witness fractional_arboricity returns, recorded once: a faster
+# density loop must return the same set, not just another set as dense.
+# Each row pairs a graph with (value, witness). Ties between equally dense
+# parts and the whole vertex set as witness (when no proper part is denser)
+# pin the tie-breaking too.
+WITNESS_BASE_SEED = 13579
+
+
+def _witness_multigraph(seed):
+    """6..14 vertices: a random multigraph on the low labels, up to two
+    labels above it left isolated, most pairs of the 3..6 highest labels
+    (a few doubled) and up to two edges joining the two parts."""
+    rng = SplitMix64(seed)
+    n = 6 + rng.below(9)
+    core = 3 + rng.below(4)
+    isolated = rng.below(3)
+    top = n - core
+    low = max(top - isolated, 0)
+    edges = []
+    if low > 1:
+        for _ in range(1 + rng.below(2 * low)):
+            u = rng.below(low)
+            v = rng.below(low - 1)
+            if v >= u:
+                v += 1
+            edges.append((u, v))
+    for u in range(top, n):
+        for v in range(u + 1, n):
+            if rng.below(4):
+                edges.append((u, v))
+    for _ in range(rng.below(3)):
+        u = top + rng.below(core)
+        v = top + rng.below(core - 1)
+        if v >= u:
+            v += 1
+        edges.append((u, v))
+    for _ in range(rng.below(3) if low else 0):
+        edges.append((rng.below(low), top + rng.below(core)))
+    return Graph(n, tuple(sorted((min(e), max(e)) for e in edges)))
+
+
+FROZEN_FRAC_WITNESSES = (
+    {0, 1, 2},
+    {0, 1, 2, 3},
+    {0, 1, 2, 3, 4},
+    {0, 1, 2, 3, 4, 5},
+    set(range(10)),
+    {0, 1, 2, 3, 4, 5},
+    {0, 1, 2, 3, 4},
+    {0, 1, 2, 3, 4},
+    {0, 1, 2},
+    {0, 1},
+)
+
+NAMED_WITNESSES = (
+    (disjoint_union(complete_graph(4), complete_graph(4)), Fraction(2), {0, 1, 2, 3}),
+    (disjoint_union(cycle(3), path(3), cycle(3)), Fraction(3, 2), {0, 1, 2}),
+    (DISCONNECTED[0], Fraction(5, 2), {6, 7, 8, 9, 10}),
+    (DISCONNECTED[1], Fraction(8, 3), {4, 5, 6, 7}),
+    (DISCONNECTED[2], Fraction(5, 2), {10, 11, 12, 13, 14}),
+    (DISCONNECTED[3], Fraction(3), {0, 1, 2}),
+    (DISCONNECTED[4], Fraction(3), {8, 9, 10, 11, 12, 13}),
+)
+
+SEEDED_WITNESSES = (
+    (Fraction(2), {10, 11, 12, 13}),
+    (Fraction(7, 3), {10, 11, 12, 13}),
+    (Fraction(11, 5), {1, 2, 3, 4, 5, 6}),
+    (Fraction(2), {1, 3, 4}),
+    (Fraction(3), {0, 1, 2, 3, 4, 5}),
+    (Fraction(12, 5), {2, 3, 4, 5, 6, 7}),
+    (Fraction(5, 2), {0, 1, 2, 3, 4}),
+    (Fraction(2), {11, 12, 13}),
+    (Fraction(8, 3), {6, 7, 10, 11}),
+    (Fraction(2), {6, 7}),
+    (Fraction(11, 4), {7, 8, 9, 11, 12}),
+    (Fraction(3), {6, 7}),
+    (Fraction(2), {8, 10}),
+    (Fraction(4), {2, 3}),
+    (Fraction(7, 2), {0, 1, 4}),
+    (Fraction(3), {0, 1, 2}),
+    (Fraction(2), {0, 1}),
+    (Fraction(14, 5), {5, 6, 7, 8, 9, 10}),
+    (Fraction(5, 2), {0, 1, 2}),
+    (Fraction(5, 2), {10, 11, 12}),
+    (Fraction(3, 2), {11, 12, 13}),
+    (Fraction(9, 4), {8, 9, 10, 11, 12}),
+    (Fraction(3), {10, 12}),
+    (Fraction(3), {0, 1}),
+    (Fraction(3), {3, 4}),
+    (Fraction(11, 5), {5, 6, 7, 8, 9, 10}),
+    (Fraction(13, 5), {3, 4, 5, 6, 7, 8}),
+    (Fraction(5, 2), {7, 8, 9}),
+    (Fraction(8, 3), {9, 10, 11, 12}),
+    (Fraction(2), {2, 5}),
+)
+
+
+def test_fractional_arboricity_frozen_witnesses():
+    seeded = [_witness_multigraph(derive_seed(WITNESS_BASE_SEED, i)) for i in range(len(SEEDED_WITNESSES))]
+    # the seeded rows cover parallel edges, isolated vertices and witnesses
+    # that reach the highest label
+    assert sum(len(set(g.endpoints)) < g.edge_count for g in seeded) >= 20
+    assert sum(len({x for e in g.endpoints for x in e}) < g.vertex_count for g in seeded) >= 15
+    assert sum(max(w) == g.vertex_count - 1 for g, (_, w) in zip(seeded, SEEDED_WITNESSES)) >= 10
+    rows = [(g, v, w) for (g, v), w in zip(FROZEN_FRAC, FROZEN_FRAC_WITNESSES)]
+    rows += NAMED_WITNESSES
+    rows += [(g, v, w) for g, (v, w) in zip(seeded, SEEDED_WITNESSES)]
+    for graph, value, witness in rows:
+        res = fractional_arboricity(graph)
+        assert (res.value, res.witness_vertices) == (value, frozenset(witness)), graph
 
 
 def test_arboricity_witness_density_ceiling(multigraph_corpus):

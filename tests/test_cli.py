@@ -287,6 +287,19 @@ def test_missing_file_exit_code(capsys):
     assert main(["frac", "/nonexistent/graph.txt"]) == 2
 
 
+def test_out_of_memory_is_exit_2(graph_file, capsys, monkeypatch):
+    # a header such as "2000000000 0" passes the edge-count gates and then
+    # runs out of memory in per-vertex lists; that is bad input, not a crash
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("arborkit.cli.edge_domination", exhausted)
+    assert main(["domination", graph_file("g.txt", cycle(3)), "--kind", "edge"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_experiment_cli(capsys):
     rc = main(
         [
