@@ -10,16 +10,12 @@ from .arboricity import (
     FracArbResult,
     PartitionResult,
     arboricity,
-    arboricity_matches_ceiling,
-    check_subgraph_bound,
     fractional_arboricity,
     fractional_arboricity_at_most,
     partition_into_forests,
 )
 from .decompose import (
     Decomposition,
-    Threshold,
-    cover_degree_bound,
     decompose_forests_bounded,
     decompose_forests_matching,
     maximal_matchings,
@@ -41,11 +37,8 @@ from .graphs import (
     GraphFormatError,
     GraphStats,
     InducedSubgraph,
-    components,
     edge_induced_subgraph,
     graph_stats,
-    is_forest,
-    is_matching,
     line_graph,
     parse_graph,
     serialize_graph,
@@ -53,15 +46,10 @@ from .graphs import (
 from .limits import ENV_MAX_EDGES, DeskScaleExceeded
 from .matroid import (
     RankOracle,
-    bases,
     cycle_matroid,
     cycle_rank,
-    dual_oracle,
     dual_rank,
-    enumerate_flats,
-    is_circuit,
     matroid_partition,
-    union_oracle,
     union_rank,
     union_rank_table,
 )

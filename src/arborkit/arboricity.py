@@ -36,9 +36,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from .flow import MaxFlow
-from .graphs import Graph, check_edge_subset
-from .matroid import cycle_rank, matroid_partition
-from .rationals import INFINITE, Infinite, ceil_value, is_infinite
+from .graphs import Graph
+from .matroid import matroid_partition
+from .rationals import INFINITE, Infinite, is_infinite
 
 
 @dataclass(frozen=True)
@@ -197,8 +197,11 @@ def fractional_arboricity_at_most(graph: Graph, bound) -> bool:
     """Exact threshold test gamma_f(G) <= bound.
 
     A peeled witness set can only reject; otherwise a single density step
-    of min cuts decides.
+    of min cuts decides. The bound is an int, a Fraction or INFINITE; a
+    float is refused, since its binary value is not the decimal it reads as.
     """
+    if isinstance(bound, float):
+        raise ValueError("bound must be exact (an int or a Fraction), not a float")
     if is_infinite(bound):
         return True
     bound = Fraction(bound)
@@ -248,23 +251,3 @@ def arboricity(graph: Graph) -> ArboricityResult:
     if len(violation) <= (k - 1) * (len(witness) - 1):
         raise AssertionError("internal error: violating set is not denser than the forests below")
     return ArboricityResult(value=k, witness_vertices=witness)
-
-
-def check_subgraph_bound(graph: Graph, subset: Iterable[int]) -> bool:
-    """|X| <= gamma_f(G) * (n(X) - c(X)), exactly.
-
-    Holds for every edge set X of G; exposed so reports can spot-check the
-    density bound on arbitrary subgraphs. INFINITE gamma_f passes trivially.
-    """
-    edges = check_edge_subset(graph, subset)
-    gf = fractional_arboricity(graph).value
-    if is_infinite(gf):
-        return True
-    return len(edges) <= gf * cycle_rank(graph, edges)
-
-
-def arboricity_matches_ceiling(graph: Graph) -> bool:
-    """Convenience equality arb(G) == ceil(gamma_f(G)) for loop-free G."""
-    frac = fractional_arboricity(graph).value
-    arb = arboricity(graph).value
-    return arb == ceil_value(frac)

@@ -17,13 +17,11 @@ about this instance, not about any threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .graphs import Graph, check_edge_subset, graph_stats
 from .limits import BOUNDED_SEARCH_DEFAULT, check_gate
 from .matroid import _ForestPartition, matroid_partition
-from .rationals import ceil_value
 
 REMAINDER_KINDS = ("matching", "forest", "graph")
 
@@ -34,36 +32,6 @@ class Decomposition:
     remainder: frozenset[int]
     kind: str
     degree_bound: int | None = None
-
-
-@dataclass(frozen=True)
-class Threshold:
-    """Per-k constants of the forests-plus-matching bound k + 1/(3k+2)."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
-
-    @property
-    def epsilon(self) -> Fraction:
-        return Fraction(1, 3 * self.k + 2)
-
-    @property
-    def bound(self) -> Fraction:
-        return self.k + self.epsilon
-
-    def cover_degree_bound(self) -> int:
-        return cover_degree_bound(self.k, self.epsilon)
-
-
-def cover_degree_bound(k: int, eps: Fraction) -> int:
-    """ceil((k+1)(k-1+2 eps) / (1-eps)): the degree the remainder graph of a
-    (k + eps)-sparse graph can always be held to."""
-    if not 0 <= eps < 1:
-        raise ValueError("eps must satisfy 0 <= eps < 1")
-    return ceil_value(Fraction(k + 1) * (k - 1 + 2 * eps) / (1 - eps))
 
 
 def _edge_priority(graph: Graph) -> list[int]:

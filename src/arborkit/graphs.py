@@ -14,9 +14,8 @@ ignored. A loop is written "v v".
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class GraphFormatError(ValueError):
@@ -62,9 +61,6 @@ class Graph:
             deg[u] += 1
             deg[v] += 1
         return deg
-
-    def incident(self, vertex: int) -> list[int]:
-        return [e for e, (u, v) in enumerate(self.endpoints) if u == vertex or v == vertex]
 
 
 @dataclass(frozen=True)
@@ -155,14 +151,6 @@ def graph_stats(graph: Graph, subset: Iterable[int]) -> GraphStats:
     return GraphStats(n=n, c=c, min_degree=min_degree, is_matching=is_matching, is_forest=is_forest)
 
 
-def is_matching(graph: Graph, subset: Iterable[int]) -> bool:
-    return graph_stats(graph, subset).is_matching
-
-
-def is_forest(graph: Graph, subset: Iterable[int]) -> bool:
-    return graph_stats(graph, subset).is_forest
-
-
 def edge_induced_subgraph(graph: Graph, subset: Iterable[int]) -> InducedSubgraph:
     edges = sorted(check_edge_subset(graph, subset))
     verts = sorted({x for e in edges for x in graph.endpoints[e]})
@@ -196,31 +184,6 @@ def line_graph(graph: Graph) -> Graph:
                 a, b = edges_at_v[i], edges_at_v[j]
                 pairs.add((a, b) if a < b else (b, a))
     return Graph(graph.edge_count, tuple(sorted(pairs)))
-
-
-def components(graph: Graph) -> list[list[int]]:
-    """Vertex sets of the connected components, isolated vertices included."""
-    seen = [False] * graph.vertex_count
-    adj: list[list[int]] = [[] for _ in range(graph.vertex_count)]
-    for u, v in graph.endpoints:
-        adj[u].append(v)
-        adj[v].append(u)
-    out = []
-    for start in range(graph.vertex_count):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    queue.append(y)
-        out.append(sorted(comp))
-    return out
 
 
 def _int_token(token: str, line_no: int, what: str) -> int:

@@ -10,7 +10,6 @@ import os
 
 ENV_MAX_EDGES = "ARBORKIT_MAX_EDGES"
 
-FLAT_ENUM_DEFAULT = 14
 UNION_TABLE_HARD_CAP = 20
 BOUNDED_SEARCH_DEFAULT = 22
 DOMINATION_DEFAULT = 24

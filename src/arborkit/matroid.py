@@ -1,9 +1,9 @@
-"""Cycle-matroid layer: ranks, k-fold unions, duals, flats, circuits.
+"""Cycle-matroid layer: ranks, k-fold unions, duals and flats.
 
 The cycle matroid of a multigraph has rank n(X) - c(X) on an edge set X
 (vertices touched minus components of the edge-induced subgraph); a set is
 independent exactly when it is a forest, loops are rank-0 dependent
-singletons, and parallel edges are 2-element circuits.
+singletons, and two parallel edges form a dependent pair.
 
 The rank of X in the k-fold union (largest subset of X coverable by k
 forests) is computed by the classic matroid-partition augmenting search: k
@@ -29,16 +29,10 @@ oracles.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
 from typing import Callable, Iterable
 
 from .graphs import Graph, check_edge_subset, _UnionFind
-from .limits import (
-    DeskScaleExceeded,
-    FLAT_ENUM_DEFAULT,
-    UNION_TABLE_HARD_CAP,
-    check_gate,
-)
+from .limits import DeskScaleExceeded, UNION_TABLE_HARD_CAP
 
 _TRANSFORM_PIECE = 1 << 13  # longest slice of union_rank_table's transform
 
@@ -272,10 +266,6 @@ def union_rank(graph: Graph, k: int, subset: Iterable[int]) -> int:
     return len(edges) - len(uncovered)
 
 
-def union_oracle(graph: Graph, k: int) -> RankOracle:
-    return RankOracle(graph.edge_count, lambda X: union_rank(graph, k, X))
-
-
 def union_rank_table(graph: Graph, k: int) -> list[int]:
     """union_rank for every subset, indexed by edge bitmask.
 
@@ -357,10 +347,6 @@ def dual_rank(base: RankOracle, subset: Iterable[int]) -> int:
     return len(key) + base.rank(ground - key) - base.rank(ground)
 
 
-def dual_oracle(base: RankOracle) -> RankOracle:
-    return RankOracle(base.ground_set_size, lambda X: dual_rank(base, X))
-
-
 def _bits(mask: int) -> list[int]:
     out = []
     while mask:
@@ -383,37 +369,3 @@ def flat_masks(size: int, rank: Callable[[int], int]) -> list[int]:
         else:
             flats.append(mask)
     return flats
-
-
-def enumerate_flats(oracle: RankOracle) -> list[frozenset[int]]:
-    """All flats as frozensets, by the flat_masks scan over the oracle.
-    Returned in canonical order (size, then sorted ids)."""
-    size = oracle.ground_set_size
-    check_gate(size, FLAT_ENUM_DEFAULT, "enumerate_flats")
-    flats = [
-        frozenset(_bits(mask))
-        for mask in flat_masks(size, lambda mask: oracle.rank(_bits(mask)))
-    ]
-    flats.sort(key=lambda f: (len(f), sorted(f)))
-    return flats
-
-
-def is_circuit(oracle: RankOracle, subset: Iterable[int]) -> bool:
-    """Minimal dependent set test straight from the definition."""
-    members = frozenset(subset)
-    if not members:
-        return False
-    if oracle.rank(members) >= len(members):
-        return False
-    return all(oracle.rank(members - {x}) == len(members) - 1 for x in members)
-
-
-def bases(oracle: RankOracle) -> list[frozenset[int]]:
-    """All maximum-size independent sets; exhaustive, meant for small ground sets."""
-    ground = sorted(oracle.ground_set())
-    r = oracle.rank(ground)
-    out = []
-    for combo in combinations(ground, r):
-        if oracle.rank(combo) == r:
-            out.append(frozenset(combo))
-    return out

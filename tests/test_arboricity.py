@@ -9,8 +9,7 @@ from arborkit import (
     Graph,
     SplitMix64,
     arboricity,
-    arboricity_matches_ceiling,
-    check_subgraph_bound,
+    ceil_value,
     cycle_rank,
     derive_seed,
     fractional_arboricity,
@@ -93,6 +92,11 @@ def test_at_most_threshold():
     assert not fractional_arboricity_at_most(Graph(1, ((0, 0),)), 100)
     assert fractional_arboricity_at_most(Graph(3, ()), 0)
     assert not fractional_arboricity_at_most(cycle(3), 0)
+    # float 1.2 is just below 6/5 = gamma_f(C6), so its binary value would
+    # read as a "no"; a float bound is refused, whatever the graph
+    for graph in (c6, Graph(3, ()), Graph(1, ((0, 0),))):
+        with pytest.raises(ValueError, match="not a float"):
+            fractional_arboricity_at_most(graph, 1.2)
 
 
 THEOREM5_BOUNDS = tuple(k + Fraction(1, 3 * k + 2) for k in (1, 2))
@@ -313,17 +317,20 @@ def test_partition_at_arboricity_and_below():
 def test_matches_ceiling_on_named_graphs():
     for g in (complete_graph(5), complete_bipartite(3, 3), cycle(6), petersen(),
               doubled_cycle(3), star(4)):
-        assert arboricity_matches_ceiling(g)
+        assert arboricity(g).value == ceil_value(fractional_arboricity(g).value)
 
 
 def test_check_subgraph_bound():
+    # |X| <= gamma_f(G) * r(X) for every edge set X; a loop makes gamma_f
+    # INFINITE, which bounds everything
     g = complete_graph(4)
-    assert check_subgraph_bound(g, g.full_edge_set())
-    assert check_subgraph_bound(g, {0, 1, 3})
-    assert check_subgraph_bound(g, ())
-    assert check_subgraph_bound(Graph(1, ((0, 0),)), {0})
+    gf = fractional_arboricity(g).value
+    assert gf == 2
+    for subset in (g.full_edge_set(), {0, 1, 3}, ()):
+        assert len(subset) <= gf * cycle_rank(g, subset)
+    assert is_infinite(fractional_arboricity(Graph(1, ((0, 0),))).value)
     with pytest.raises(ValueError):
-        check_subgraph_bound(g, {9})
+        cycle_rank(g, {9})
 
 
 @st.composite

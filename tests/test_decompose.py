@@ -1,42 +1,17 @@
-from fractions import Fraction
-
 import pytest
 
 from arborkit import (
     Decomposition,
     DeskScaleExceeded,
     Graph,
-    Threshold,
-    cover_degree_bound,
     decompose_forests_bounded,
     decompose_forests_matching,
-    is_matching,
+    graph_stats,
     maximal_matchings,
     verify_decomposition,
 )
 from helpers import complete_graph, cycle, doubled_cycle, path, petersen, star
 from oracles import maximal_matchings_brute
-
-
-def test_threshold_constants():
-    t1 = Threshold(1)
-    assert t1.epsilon == Fraction(1, 5)
-    assert t1.bound == Fraction(6, 5)
-    t2 = Threshold(2)
-    assert t2.epsilon == Fraction(1, 8)
-    assert t2.bound == Fraction(17, 8)
-    assert Threshold(3).bound == Fraction(34, 11)
-    with pytest.raises(ValueError):
-        Threshold(0)
-
-
-def test_cover_degree_bound_values():
-    assert cover_degree_bound(1, Fraction(1, 5)) == 1
-    assert cover_degree_bound(1, Fraction(1, 3)) == 2
-    assert cover_degree_bound(2, Fraction(1, 8)) == 5
-    assert Threshold(1).cover_degree_bound() == 1
-    with pytest.raises(ValueError):
-        cover_degree_bound(1, Fraction(6, 5))
 
 
 def test_maximal_matchings_match_brute():
@@ -79,7 +54,7 @@ def test_matching_decomposition_found():
         ok, reason = verify_decomposition(g, dec, k)
         assert ok, reason
         # the searched remainders are maximal matchings in particular
-        assert is_matching(g, dec.remainder)
+        assert graph_stats(g, dec.remainder).is_matching
 
 
 def test_matching_decomposition_exhausted():

@@ -1,13 +1,11 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from arborkit import (
     Graph,
     GraphFormatError,
-    components,
     edge_induced_subgraph,
     graph_stats,
-    is_forest,
-    is_matching,
     line_graph,
     parse_graph,
     serialize_graph,
@@ -29,12 +27,6 @@ def test_degrees_count_loops_twice():
     assert g.loop_edges() == [1]
 
 
-def test_incident_lists_edge_ids():
-    g = complete_graph(4)
-    assert g.incident(0) == [0, 1, 2]
-    assert g.incident(3) == [2, 4, 5]
-
-
 def test_stats_on_triangle():
     g = cycle(3)
     s = graph_stats(g, g.full_edge_set())
@@ -53,16 +45,17 @@ def test_empty_subset_is_forest_and_matching():
 def test_forest_and_matching_predicates():
     g = complete_graph(4)
     # edge ids: 0=(0,1) 1=(0,2) 2=(0,3) 3=(1,2) 4=(1,3) 5=(2,3)
-    assert is_forest(g, {0, 1, 2})
-    assert not is_forest(g, {0, 1, 3})
-    assert is_matching(g, {0, 5})
-    assert not is_matching(g, {0, 1})
+    assert graph_stats(g, {0, 1, 2}).is_forest
+    assert not graph_stats(g, {0, 1, 3}).is_forest
+    assert graph_stats(g, {0, 5}).is_matching
+    assert not graph_stats(g, {0, 1}).is_matching
 
 
 def test_loop_is_neither_forest_nor_matching():
     g = Graph(1, ((0, 0),))
-    assert not is_forest(g, {0})
-    assert not is_matching(g, {0})
+    s = graph_stats(g, {0})
+    assert not s.is_forest
+    assert not s.is_matching
 
 
 def test_subset_validation():
@@ -104,14 +97,29 @@ def test_line_graph_loop_has_no_self_adjacency():
     assert lone.vertex_count == 1 and lone.edge_count == 0
 
 
-def test_components_include_isolated_vertices():
-    g = Graph(5, ((0, 1), (3, 4)))
-    assert components(g) == [[0, 1], [2], [3, 4]]
-
-
 def test_parse_serialize_roundtrip():
     text = "4 3\n0 1\n1 2\n2 3\n"
     assert serialize_graph(parse_graph(text)) == text
+
+
+@st.composite
+def multigraphs(draw):
+    """n = 0..8, loops, parallel edges and isolated vertices allowed; the
+    edge list is empty for n = 0 and may be empty otherwise."""
+    n = draw(st.integers(0, 8))
+    if n == 0:
+        return Graph(0, ())
+    vertex = st.integers(0, n - 1)
+    return Graph(n, tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=12))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs())
+@example(Graph(0, ()))
+@example(Graph(3, ()))
+@example(Graph(3, ((1, 1), (0, 1), (0, 1))))
+def test_parse_serialize_roundtrip_on_multigraphs(g):
+    assert parse_graph(serialize_graph(g)) == g
 
 
 def test_parse_skips_comments_and_blanks():

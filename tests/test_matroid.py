@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 from itertools import combinations
 
 import pytest
@@ -6,22 +8,19 @@ from hypothesis import given, settings, strategies as st
 from arborkit import (
     DeskScaleExceeded,
     Graph,
-    bases,
+    RankOracle,
     cycle_matroid,
     cycle_rank,
-    dual_oracle,
     dual_rank,
-    enumerate_flats,
-    is_circuit,
     matroid_partition,
     partition_into_forests,
-    union_oracle,
     union_rank,
     union_rank_table,
 )
+import arborkit
 from arborkit import matroid
-from arborkit.matroid import _ForestPartition
-from helpers import complete_graph, cycle, doubled_cycle, path
+from arborkit.matroid import _ForestPartition, flat_masks
+from helpers import complete_graph, cycle, doubled_cycle
 from oracles import brute_union_rank, dual_rank_via_bases, subgraph_rank
 
 
@@ -66,8 +65,21 @@ def test_rank_axioms_exhaustive():
                     assert gain_late <= re - r
 
 
+def edge_set(mask):
+    return frozenset(e for e in range(mask.bit_length()) if mask >> e & 1)
+
+
+def cycle_flats(g):
+    """Flats of the cycle matroid as edge-id sets, in increasing bitmask
+    order, from the flat_masks scan over the cycle rank on bitmasks."""
+    return [
+        edge_set(mask)
+        for mask in flat_masks(g.edge_count, lambda mask: cycle_rank(g, edge_set(mask)))
+    ]
+
+
 def test_flats_of_triangle():
-    flats = enumerate_flats(cycle_matroid(cycle(3)))
+    flats = cycle_flats(cycle(3))
     assert flats == [
         frozenset(),
         frozenset({0}),
@@ -79,50 +91,30 @@ def test_flats_of_triangle():
 
 def test_flats_respect_parallel_closure():
     g = Graph(2, ((0, 1), (0, 1)))
-    assert enumerate_flats(cycle_matroid(g)) == [frozenset(), frozenset({0, 1})]
+    assert cycle_flats(g) == [frozenset(), frozenset({0, 1})]
 
 
 def test_flats_with_loop():
     # the loop sits in the closure of the empty set
     g = Graph(2, ((0, 0), (0, 1)))
-    assert enumerate_flats(cycle_matroid(g)) == [frozenset({0}), frozenset({0, 1})]
-
-
-def test_enumerate_flats_gate(monkeypatch):
-    monkeypatch.delenv("ARBORKIT_MAX_EDGES", raising=False)
-    g = path(16)
-    with pytest.raises(DeskScaleExceeded):
-        enumerate_flats(cycle_matroid(g))
+    assert cycle_flats(g) == [frozenset({0}), frozenset({0, 1})]
 
 
 def test_circuit_flat_exclusion():
     # a circuit cannot leave a flat through exactly one element
     for g in (complete_graph(4), doubled_cycle(3)):
-        oracle = cycle_matroid(g)
-        flats = enumerate_flats(oracle)
-        circuits = [c for c in powerset(oracle.ground_set()) if is_circuit(oracle, c)]
+        flats = cycle_flats(g)
+        # circuits by the definition: dependent, and independent once any
+        # one element is dropped
+        circuits = [
+            c for c in powerset(g.edge_ids())
+            if subgraph_rank(g, c) < len(c)
+            and all(subgraph_rank(g, c - {x}) == len(c) - 1 for x in c)
+        ]
+        assert circuits
         for flat in flats:
             for circ in circuits:
                 assert len(circ - flat) != 1
-
-
-def test_is_circuit():
-    tri = cycle(3)
-    oracle = cycle_matroid(tri)
-    assert is_circuit(oracle, {0, 1, 2})
-    assert not is_circuit(oracle, {0, 1})
-    assert not is_circuit(oracle, ())
-    assert is_circuit(cycle_matroid(Graph(1, ((0, 0),))), {0})
-    assert is_circuit(cycle_matroid(Graph(2, ((0, 1), (0, 1)))), {0, 1})
-
-
-def test_bases_of_triangle():
-    found = bases(cycle_matroid(cycle(3)))
-    assert sorted(found, key=sorted) == [
-        frozenset({0, 1}),
-        frozenset({0, 2}),
-        frozenset({1, 2}),
-    ]
 
 
 def test_partition_covers_or_certifies():
@@ -337,13 +329,35 @@ def test_dual_rank_against_basis_formula():
 def test_dual_of_dual_is_original():
     g = complete_graph(4)
     oracle = cycle_matroid(g)
-    twice = dual_oracle(dual_oracle(oracle))
+    dual = RankOracle(oracle.ground_set_size, lambda X: dual_rank(oracle, X))
+    twice = RankOracle(dual.ground_set_size, lambda X: dual_rank(dual, X))
     for subset in powerset(oracle.ground_set()):
         assert twice.rank(subset) == oracle.rank(subset)
 
 
 def test_union_oracle_wraps_union_rank():
     g = cycle(4)
-    oracle = union_oracle(g, 1)
+    oracle = RankOracle(g.edge_count, lambda X: union_rank(g, 1, X))
     assert oracle.rank(g.full_edge_set()) == 3
     assert oracle.rank(()) == 0
+
+
+def test_test_only_api_is_gone():
+    # one matroid representation (bitmask tables and flat_masks); the
+    # frozenset oracles, circuit and basis enumerators, and the predicates
+    # that only restated graph_stats or the definitions are not public API
+    removed = (
+        "union_oracle", "dual_oracle", "enumerate_flats", "is_circuit", "bases",
+        "FLAT_ENUM_DEFAULT", "check_subgraph_bound", "arboricity_matches_ceiling",
+        "Threshold", "cover_degree_bound", "components", "is_matching", "is_forest",
+    )
+    modules = [arborkit] + [
+        importlib.import_module(f"arborkit.{info.name}")
+        for info in pkgutil.iter_modules(arborkit.__path__)
+        if info.name != "__main__"
+    ]
+    assert len(modules) > 10
+    for module in modules:
+        for name in removed:
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(Graph, "incident")
