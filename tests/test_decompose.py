@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from arborkit import (
     Decomposition,
     DeskScaleExceeded,
+    ExperimentConfig,
     Graph,
     decompose_forests_bounded,
     decompose_forests_matching,
@@ -12,6 +15,21 @@ from arborkit import (
 )
 from helpers import complete_graph, cycle, doubled_cycle, path, petersen, star
 from oracles import maximal_matchings_brute
+
+
+def test_threshold_constants():
+    def theorem5(k):
+        return ExperimentConfig(selector="theorem5", k_values=(k,), n_values=(6,), trials=1, seed=0)
+
+    t1 = theorem5(1).cell_bound(1)
+    assert t1 - 1 == Fraction(1, 5)
+    assert t1 == Fraction(6, 5)
+    t2 = theorem5(2).cell_bound(2)
+    assert t2 - 2 == Fraction(1, 8)
+    assert t2 == Fraction(17, 8)
+    assert theorem5(3).cell_bound(3) == Fraction(34, 11)
+    with pytest.raises(ValueError):
+        theorem5(0)
 
 
 def test_maximal_matchings_match_brute():

@@ -39,7 +39,6 @@ def test_selector_validation():
 def test_cell_bounds_per_selector():
     assert small_config().cell_bound(1) == Fraction(6, 5)
     assert small_config().cell_bound(2) == Fraction(17, 8)
-    assert small_config().cell_bound(3) == Fraction(34, 11)
     assert small_config(selector="theorem2i").cell_bound(1) == Fraction(4, 3)
     two_ii = small_config(selector="theorem2ii")
     assert two_ii.cell_bound(1) == Fraction(3, 2)
