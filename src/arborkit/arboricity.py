@@ -2,26 +2,30 @@
 
 fractional_arboricity maximizes |E(S)| / (|S| - 1) over vertex subsets with
 at least two vertices, as an exact rational. It runs a Dinkelbach-style
-iteration: lambda starts at the density of the whole vertex set and each
-step solves max |E(S)| - lambda (|S| - 1) through integer min cuts, one
-per vertex v in increasing order, with v free of the per-vertex charge,
-which makes the "-1" in the denominator exact rather than approximate
-(Picard and Queyranne 1982). The flow for v is built over the edges among
-v..n-1 alone: a set with a lower vertex was weighed at that vertex
-already (vertex elimination, as in Gabow's parametric flows, 1998). The
-first vertex to reach the best excess sees all its maximizers in its
-smaller network, so the witness is the one full-size flows give. Every
-step either certifies that no subset beats lambda or produces a strictly
-denser subset, so the candidate densities visited strictly increase and
-the loop ends after at most the number of distinct densities.
+iteration: lambda starts at the density of the densest set on the
+min-degree peeling chain (Charikar 2000), a real set and so at most the
+optimum, and each step solves max |E(S)| - lambda (|S| - 1) through
+integer min cuts, one per vertex v in increasing order, with v free of the
+per-vertex charge, which makes the "-1" in the denominator exact rather
+than approximate (Picard and Queyranne 1982). The flow for v is built over
+the edges among v..n-1 alone: a set with a lower vertex was weighed at
+that vertex already (vertex elimination, as in Gabow's parametric flows,
+1998). Every step either produces a strictly denser subset or certifies
+that none beats lambda, so the candidate densities visited strictly
+increase and the loop ends after at most the number of distinct densities.
+The witness comes from the certifying pass alone: the largest maximal
+min-cut source side there is the largest densest set, the one with the
+lowest lowest vertex on a tie, so it does not depend on where lambda
+started or which sets the steps before found.
 
 The threshold test gamma_f <= p/q peels first: greedy min-degree peeling
 (Charikar 2000) walks a chain of ever smaller vertex sets, and the test
 rejects at once if one of them has q |E(S)| > p (|S| - 1), checked exactly
 in integers. Only when no peeled set is that dense does it solve min cuts,
-so acceptance is always decided by a flow. Neither the density loop nor
-the peel walks vertices that no edge touches, so a sparse graph with a
-huge vertex count costs what its edges cost.
+so acceptance is always decided by a flow. One peel loop serves the
+threshold test, the start of the density loop and the generator's draws.
+Neither the density loop nor the peel walks vertices that no edge touches,
+so a sparse graph with a huge vertex count costs what its edges cost.
 
 arboricity partitions into k = 1, 2, ... forests until a partition exists.
 Its witness is the vertex set S of the violating edge set T of the last
@@ -88,31 +92,52 @@ def _density(graph: Graph, vertices: Iterable[int]) -> Fraction:
     return Fraction(_edges_within(graph, verts), len(verts) - 1)
 
 
+def _touched_pairs(graph: Graph) -> tuple[list[int], list[tuple[int, int]]]:
+    """The vertices that edges touch, in increasing order, and the edges
+    relabelled onto their positions 0..len-1 as sorted (lower, upper) pairs.
+
+    The relabel keeps the order of the vertices, so a set's lowest vertex
+    stays its lowest. Sorted pairs list the edges among v..n-1 as a suffix.
+    """
+    used = sorted({x for e in graph.endpoints for x in e})
+    index = {x: i for i, x in enumerate(used)}
+    pairs = sorted((index[u], index[v]) if u <= v else (index[v], index[u]) for u, v in graph.endpoints)
+    return used, pairs
+
+
 def _improving_subset(
-    graph: Graph, lam: Fraction, stop_at_first: bool = False
-) -> frozenset[int] | None:
-    """A vertex set S, |S| >= 2, with |E(S)| - lam (|S| - 1) maximal and > 0.
+    pairs: list[tuple[int, int]], lam: Fraction, stop_at_first: bool = False
+) -> tuple[bool, frozenset[int] | None]:
+    """One pass of min cuts at lam over the sorted (lower, upper) pairs of a
+    loop-free multigraph.
 
-    None when no subset has positive excess (so gamma_f <= lam). One min cut
-    is solved per vertex v, in the order v = 0, 1, ...: v is free of the
-    per-vertex charge, so the cut weighs |E(S)| - lam (|S| - 1) over the sets
-    S whose lowest vertex is v. A set holding a vertex below v was weighed
-    at that vertex already, so the flow for v is built only over the edges
-    among v..n-1 and their endpoints; a v that is the lower endpoint of no
-    edge is skipped, and the loop ends with the last such v.
+    Returns (True, S) with |E(S)| - lam (|S| - 1) maximal and > 0 when some
+    set has positive excess; with stop_at_first, the first such set found.
+    Otherwise returns (False, W): W is None with stop_at_first or when lam
+    is above gamma_f, and at lam = gamma_f, where the density loop's last
+    pass runs (the loop starts at a peeled set's density and moves only to
+    the densities of real sets), the largest densest set, the one with the
+    lowest lowest vertex on a tie.
 
-    The witness is the one the full-size flows give. Let v be the first
-    vertex whose flow reaches the largest excess: a maximizing set with a
-    vertex u < v would reach it at u already, so every maximizer of the
-    full flow for v lies within the smaller network, and both have the same
-    minimal min-cut source side. Flows for other vertices see fewer sets
-    and so never beat it.
+    One min cut is solved per vertex v, in the order v = 0, 1, ...: v is free
+    of the per-vertex charge, so the cut weighs |E(S)| - lam (|S| - 1) over
+    the sets S whose lowest vertex is v. A set holding a vertex below v was
+    weighed at that vertex already, so the flow for v is built only over the
+    edges among v..n-1 and their endpoints; a v that is the lower endpoint of
+    no edge is skipped, and the loop ends with the last such v.
+
+    An improving set is the minimal min-cut source side of the first vertex
+    whose flow reaches the largest excess; it fixes the next lam, never the
+    witness. At lam = gamma_f the maximal source side for v (the nodes that
+    cannot reach the sink) is the union of the densest sets whose lowest
+    vertex is v, and densest too, since they share v. Densest sets that meet
+    unite into a densest set, so the largest ones are disjoint, and the
+    largest side of two or more vertices, first v on a tie, is the witness.
     """
     p, q = lam.numerator, lam.denominator
-    # edges by lower endpoint: those among v..n-1 are a suffix
-    pairs = sorted((u, v) if u <= v else (v, u) for u, v in graph.endpoints)
     best_excess = 0
     best: frozenset[int] | None = None
+    widest = 1  # a witness side holds two or more vertices
     for start, (free, _) in enumerate(pairs):
         if start and pairs[start - 1][0] == free:
             continue
@@ -136,44 +161,60 @@ def _improving_subset(
             best_excess = excess
             best = frozenset(x for x in verts if node[x] in side)
             if stop_at_first:
-                return best
-    return best
+                return True, best
+        elif not (best_excess or stop_at_first) and len(verts) > widest:
+            reach = net.min_cut_sink_side(1)
+            side = frozenset(x for x in verts if node[x] not in reach)
+            if len(side) > widest:
+                best, widest = side, len(side)
+    return best_excess > 0, best
 
 
 def fractional_arboricity(graph: Graph) -> FracArbResult:
-    """max |E(S)| / (|S| - 1), exact. Edgeless gives 0; a loop gives INFINITE."""
+    """max |E(S)| / (|S| - 1), exact. Edgeless gives 0; a loop gives INFINITE.
+
+    The witness is the largest densest set, the one with the lowest lowest
+    vertex on a tie.
+    """
     loops = graph.loop_edges()
     if loops:
         u, _ = graph.endpoints[loops[0]]
         return FracArbResult(value=INFINITE, witness_vertices=frozenset({u}))
     if graph.edge_count == 0:
         return FracArbResult(value=Fraction(0), witness_vertices=frozenset())
-    n = graph.vertex_count
-    lam = Fraction(graph.edge_count, n - 1)
-    witness: frozenset[int] | None = None  # None: the whole vertex set, built if returned
+    used, pairs = _touched_pairs(graph)
+    n = len(used)
+    # the densest set on the peeling chain is a real set: at most gamma_f
+    lam = Fraction(*_peeling_exceeds(n, pairs, 0, 1, densest=True))
     steps = 0
     while True:
         steps += 1
         if steps > (graph.edge_count + 1) * (n + 1):
             raise AssertionError("internal error: density iteration failed to terminate")
-        subset = _improving_subset(graph, lam)
-        if subset is None:
-            return FracArbResult(value=lam, witness_vertices=witness or frozenset(range(n)))
+        improving, subset = _improving_subset(pairs, lam)
+        subset = frozenset(used[x] for x in subset or ())
+        if not improving:
+            if len(subset) < 2 or _density(graph, subset) != lam:
+                raise AssertionError("internal error: the density witness does not reach the value")
+            return FracArbResult(value=lam, witness_vertices=subset)
         new_lam = _density(graph, subset)
         # candidate densities must strictly increase or the search is wrong
         if new_lam <= lam:
             raise AssertionError("internal error: density did not improve")
         lam = new_lam
-        witness = subset
 
 
-def _peeling_exceeds(n: int, endpoints, p: int, q: int) -> bool:
-    """True when a set left by min-degree peeling has q |E(S)| > p (|S| - 1).
+def _peeling_exceeds(
+    n: int, endpoints, p: int, q: int, densest: bool = False
+) -> tuple[int, int] | None:
+    """A set S left by min-degree peeling with q |E(S)| > p (|S| - 1), as the
+    pair (|E(S)|, |S| - 1): the first such set on the chain, or with densest
+    the densest one (the largest on a tie); None when no set is that dense.
 
     Takes the raw pairs of a loop-free multigraph on 0..n-1, in any order:
     ties go to the lowest vertex, so the order of the pairs does not matter.
     Parallel edges count with multiplicity. Each set is checked exactly, so
-    True proves gamma_f > p / q; False decides nothing.
+    a set proves gamma_f > p / q; None decides nothing.
     """
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in endpoints:
@@ -182,15 +223,19 @@ def _peeling_exceeds(n: int, endpoints, p: int, q: int) -> bool:
     deg = list(map(len, adj))
     inside = len(endpoints)
     gone = 2 * inside + 1  # above any live degree after a decrement per edge
+    found = None
     for size in range(n, 1, -1):
         if q * inside > p * (size - 1):
-            return True
+            found = (inside, size - 1)
+            if not densest:
+                return found
+            p, q = found
         low = deg.index(min(deg))
         inside -= deg[low]
         deg[low] = gone
         for w in adj[low]:
             deg[w] -= 1
-    return False
+    return found
 
 
 def fractional_arboricity_at_most(graph: Graph, bound) -> bool:
@@ -213,12 +258,10 @@ def fractional_arboricity_at_most(graph: Graph, bound) -> bool:
         return False
     # peeling takes isolated vertices first and they add no edge, so the
     # peel of the other vertices, relabelled in order, decides the same
-    used = sorted({x for e in graph.endpoints for x in e})
-    index = {x: i for i, x in enumerate(used)}
-    pairs = [(index[u], index[v]) for u, v in graph.endpoints]
+    used, pairs = _touched_pairs(graph)
     if _peeling_exceeds(len(used), pairs, bound.numerator, bound.denominator):
         return False
-    return _improving_subset(graph, bound, stop_at_first=True) is None
+    return not _improving_subset(pairs, bound, stop_at_first=True)[0]
 
 
 def arboricity(graph: Graph) -> ArboricityResult:

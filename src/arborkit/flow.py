@@ -80,3 +80,18 @@ class MaxFlow:
                     seen.add(arc[0])
                     queue.append(arc[0])
         return seen
+
+    def min_cut_sink_side(self, t: int) -> set[int]:
+        """Nodes that reach t in the residual graph after max_flow: the
+        smallest sink side of a minimum cut. Every other node is on the
+        source side of some minimum cut, so the rest is their union."""
+        seen = {t}
+        queue = deque([t])
+        while queue:
+            y = queue.popleft()
+            for x, _, rev in self.adj[y]:
+                # the arc x -> y is the reverse of this one
+                if x not in seen and self.adj[x][rev][1] > 0:
+                    seen.add(x)
+                    queue.append(x)
+        return seen

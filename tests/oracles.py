@@ -55,6 +55,36 @@ def brute_frac_arboricity(graph):
     return best
 
 
+def brute_canonical_witness(graph):
+    """(gamma_f, W) of a loop-free graph with an edge: W is the largest
+    vertex set of density gamma_f, and on a tie in size the one whose
+    lowest vertex is lowest."""
+    n = graph.vertex_count
+    best = None
+    for size in range(2, n + 1):
+        for combo in combinations(range(n), size):
+            inside = set(combo)
+            m = sum(1 for u, v in graph.endpoints if u in inside and v in inside)
+            key = (Fraction(m, size - 1), size, -combo[0])
+            if best is None or key > best[0]:
+                best = (key, frozenset(combo))
+    return best[0][0], best[1]
+
+
+def brute_min_cuts(node_count, arcs, s, t):
+    """(capacity, source sides) of every minimum s-t cut of a network given
+    as (tail, head, capacity) arcs, by trying every node set that holds s
+    and not t."""
+    others = [x for x in range(node_count) if x not in (s, t)]
+    cuts = []
+    for size in range(len(others) + 1):
+        for combo in combinations(others, size):
+            side = frozenset(combo) | {s}
+            cuts.append((sum(c for u, v, c in arcs if u in side and v not in side), side))
+    low = min(c for c, _ in cuts)
+    return low, [side for c, side in cuts if c == low]
+
+
 def brute_union_rank(graph, k, edges):
     """Rank of the edges in the k-fold union of the cycle matroid, as
     min over T within X of |X - T| + k * r(T) (the matroid union theorem)."""

@@ -29,7 +29,7 @@ from helpers import (
     petersen,
     star,
 )
-from oracles import brute_frac_arboricity
+from oracles import brute_canonical_witness, brute_frac_arboricity
 
 
 FROZEN_FRAC = [
@@ -351,3 +351,20 @@ def test_peeling_witness_is_sound_and_order_free(drawn, p, q, data):
         assert brute_frac_arboricity(Graph(n, tuple(edges))) > Fraction(p, q)
     # the generator peels its draws before sorting them
     assert _peeling_exceeds(n, data.draw(st.permutations(edges)), p, q) == exceeds
+
+
+@st.composite
+def loop_free_multigraphs(draw):
+    """2..9 vertices and 1..18 edges, parallel edges allowed, no loops;
+    vertices that no edge touches stay isolated."""
+    n = draw(st.integers(2, 9))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+        lambda t: tuple(sorted((t[0], (t[0] + t[1]) % n))))
+    return Graph(n, tuple(sorted(draw(st.lists(pair, min_size=1, max_size=18)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(loop_free_multigraphs())
+def test_frac_witness_is_the_largest_densest_set(graph):
+    res = fractional_arboricity(graph)
+    assert (res.value, res.witness_vertices) == brute_canonical_witness(graph)
