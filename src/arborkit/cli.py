@@ -393,6 +393,11 @@ def main(argv=None) -> int:
         # edges passes them and can still exhaust memory
         print("error: out of memory: the graph is too large", file=sys.stderr)
         return 2
+    except RecursionError:
+        # the maximal-matching search recurses once per matched edge, and no
+        # gate bounds it, so a long path can overrun the interpreter's stack
+        print("error: recursion too deep: the graph is too large for this search", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

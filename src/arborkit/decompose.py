@@ -7,7 +7,10 @@ at a time to the forest side or the remainder and prunes with the exact
 necessary condition that the forest side stays coverable by k forests,
 maintained incrementally by the matroid layer's one partition engine
 (_ForestPartition): each forest-side assignment is one augmenting insertion,
-and backtracking restores the partition to a mark in its undo log.
+and backtracking restores the partition to a mark in its undo log. A forest
+remainder lives in a one-forest _ForestPartition of its own: an edge may join
+it when no forest path links its endpoints, and is added and removed directly,
+with no augmentation. A graph remainder needs only its degree counts.
 
 A None return means EXHAUSTED: the whole search space was enumerated and no
 decomposition exists at this (k, remainder) combination. That is a statement
@@ -46,7 +49,7 @@ def _edge_priority(graph: Graph) -> list[int]:
     )
 
 
-def maximal_matchings(graph: Graph, order: list[int] | None = None) -> Iterator[frozenset[int]]:
+def maximal_matchings(graph: Graph) -> Iterator[frozenset[int]]:
     """All maximal matchings, each exactly once, loop-free graphs only.
 
     Branches on the first edge (in priority order) with both endpoints
@@ -55,8 +58,7 @@ def maximal_matchings(graph: Graph, order: list[int] | None = None) -> Iterator[
     """
     if graph.has_loop():
         raise ValueError("matchings are undefined with loops present")
-    if order is None:
-        order = _edge_priority(graph)
+    order = _edge_priority(graph)
     matched = [False] * graph.vertex_count
     pinned = [False] * graph.vertex_count
     chosen: list[int] = []
@@ -97,7 +99,7 @@ def maximal_matchings(graph: Graph, order: list[int] | None = None) -> Iterator[
         if pinned[u] or pinned[v]:
             anchor = v if pinned[u] else u
             for e in at[anchor]:
-                if not matched[anchor] and usable(e, anchor):
+                if usable(e, anchor):
                     take(e)
                     yield from walk()
                     drop(e)
@@ -158,20 +160,7 @@ def decompose_forests_bounded(graph: Graph, k: int, d: int, kind: str) -> Decomp
     part = _ForestPartition(graph, k)
     deg_rem = [0] * graph.vertex_count
     remainder: list[int] = []
-    rem_adj: dict[int, list[int]] = {}
-
-    def remainder_cycle(eid: int) -> bool:
-        # connectivity probe in the current remainder, endpoints of eid
-        u, v = graph.endpoints[eid]
-        seen = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for y in rem_adj.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return v in seen
+    forest_rem = _ForestPartition(graph, 1) if kind == "forest" else None
 
     def assign(idx: int) -> Decomposition | None:
         if idx == len(order):
@@ -190,17 +179,19 @@ def decompose_forests_bounded(graph: Graph, k: int, d: int, kind: str) -> Decomp
             if found is not None:
                 return found
             part.restore(mark)
-        if deg_rem[u] < d and deg_rem[v] < d and (kind == "graph" or not remainder_cycle(e)):
+        if deg_rem[u] < d and deg_rem[v] < d and (
+            forest_rem is None or forest_rem._forest_path(0, u, v) is None
+        ):
             remainder.append(e)
             deg_rem[u] += 1
             deg_rem[v] += 1
-            rem_adj.setdefault(u, []).append(v)
-            rem_adj.setdefault(v, []).append(u)
+            if forest_rem is not None:
+                forest_rem._add(0, e)
             found = assign(idx + 1)
             if found is not None:
                 return found
-            rem_adj[u].pop()
-            rem_adj[v].pop()
+            if forest_rem is not None:
+                forest_rem._remove(0, e)
             deg_rem[u] -= 1
             deg_rem[v] -= 1
             remainder.pop()

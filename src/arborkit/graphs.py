@@ -96,59 +96,47 @@ def check_edge_subset(graph: Graph, subset: Iterable[int]) -> frozenset[int]:
     return out
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-
-    def add(self, x: int) -> None:
-        if x not in self.parent:
-            self.parent[x] = x
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge and report whether the parts were distinct."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+def _spanning_forest_size(pairs: Iterable[tuple[int, int]]) -> int:
+    """How many of the (u, v) pairs join two components of the pairs before
+    them: the size of any spanning forest of the pairs. A loop never does."""
+    parent: dict[int, int] = {}
+    size = 0
+    for u, v in pairs:
+        # path halving keeps the finds short on deep chains
+        while u in parent:
+            p = parent[u]
+            parent[u] = u = parent.get(p, p)
+        while v in parent:
+            p = parent[v]
+            parent[v] = v = parent.get(p, p)
+        if u != v:
+            parent[u] = v
+            size += 1
+    return size
 
 
 def graph_stats(graph: Graph, subset: Iterable[int]) -> GraphStats:
     """n, c, min degree, matching/forest flags of the edge-induced subgraph.
 
     min_degree is over the vertices the subset touches (0 for the empty
-    subset). The empty subset counts as both a matching and a forest.
+    subset). The empty subset counts as both a matching and a forest; a loop
+    gives its vertex degree 2, so it is neither.
     """
     edges = check_edge_subset(graph, subset)
-    uf = _UnionFind()
+    pairs = [graph.endpoints[e] for e in edges]
     deg: dict[int, int] = {}
-    loops = False
-    for e in edges:
-        u, v = graph.endpoints[e]
-        uf.add(u)
-        uf.add(v)
-        uf.union(u, v)
+    for u, v in pairs:
         deg[u] = deg.get(u, 0) + 1
         deg[v] = deg.get(v, 0) + 1
-        if u == v:
-            loops = True
-    n = len(uf.parent)
-    c = len({uf.find(x) for x in uf.parent})
-    min_degree = min(deg.values()) if deg else 0
-    is_matching = not loops and all(d <= 1 for d in deg.values())
-    is_forest = len(edges) == n - c
-    return GraphStats(n=n, c=c, min_degree=min_degree, is_matching=is_matching, is_forest=is_forest)
+    n = len(deg)
+    forest = _spanning_forest_size(pairs)
+    return GraphStats(
+        n=n,
+        c=n - forest,
+        min_degree=min(deg.values(), default=0),
+        is_matching=all(d <= 1 for d in deg.values()),
+        is_forest=forest == len(edges),
+    )
 
 
 def edge_induced_subgraph(graph: Graph, subset: Iterable[int]) -> InducedSubgraph:

@@ -17,13 +17,15 @@ elements satisfies r(L) = |F_j intersect L| for every j, which yields
 
 _ForestPartition is the one partition engine; its undo log makes snapshot()
 a mark and restore(mark) a roll-back, through which the bounded search in
-decompose.py backtracks. union_rank_table does not augment per subset: it
-evaluates the union formula r_k(X) = min over T of |X - T| + k * r(T)
-(Nash-Williams 1966; Edmonds 1968) for every X at once, from a cycle-rank
-table and a subset-min transform, and checks the full set against the
-augmenting search. Flats come from one bitmask scan, flat_masks. The
-brute-force evaluation of the formula, one X at a time, lives with the test
-oracles.
+decompose.py backtracks. That search also keeps a forest remainder in a
+one-forest _ForestPartition, whose forest path between the endpoints of an
+edge says whether the edge would close a cycle. union_rank_table does not
+augment per subset: it evaluates the union formula r_k(X) = min over T of
+|X - T| + k * r(T) (Nash-Williams 1966; Edmonds 1968) for every X at once,
+from a cycle-rank table and a subset-min transform, and checks the full set
+against the augmenting search. Flats come from one bitmask scan, flat_masks.
+The brute-force evaluation of the formula, one X at a time, lives with the
+test oracles.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable
 
-from .graphs import Graph, check_edge_subset, _UnionFind
+from .graphs import Graph, _spanning_forest_size, check_edge_subset
 from .limits import DeskScaleExceeded, UNION_TABLE_HARD_CAP
 
 _TRANSFORM_PIECE = 1 << 13  # longest slice of union_rank_table's transform
@@ -63,15 +65,7 @@ class RankOracle:
 def cycle_rank(graph: Graph, subset: Iterable[int]) -> int:
     """n(X) - c(X): the size of any spanning forest of the subset."""
     edges = check_edge_subset(graph, subset)
-    uf = _UnionFind()
-    forest = 0
-    for e in edges:
-        u, v = graph.endpoints[e]
-        uf.add(u)
-        uf.add(v)
-        if uf.union(u, v):
-            forest += 1
-    return forest
+    return _spanning_forest_size(graph.endpoints[e] for e in edges)
 
 
 def cycle_matroid(graph: Graph) -> RankOracle:
@@ -98,9 +92,6 @@ class _ForestPartition:
         self.owner: dict[int, int] = {}
         self.adj: list[dict[int, list[tuple[int, int]]]] = [dict() for _ in range(k)]
         self.log: list[tuple[int, int | None, int]] = []
-
-    def covered(self) -> int:
-        return len(self.owner)
 
     def forest_sets(self) -> tuple[frozenset[int], ...]:
         sets: list[set[int]] = [set() for _ in range(self.k)]
@@ -159,23 +150,13 @@ class _ForestPartition:
                 queue.append(y)
         return None
 
-    def _fundamental_circuit(self, j: int, eid: int) -> list[int] | None:
-        """Exchange partners of eid in forest j; None when j + eid is a forest.
-
-        For a loop the circuit is the loop itself, so there are no partners
-        and the empty list is returned.
-        """
-        u, v = self.graph.endpoints[eid]
-        if u == v:
-            return []
-        return self._forest_path(j, u, v)
-
     def try_insert(self, eid: int) -> tuple[bool, frozenset[int] | None]:
         """Cover eid, rearranging as needed.
 
         Returns (True, None) on success. On failure returns (False, L) where
         L is the reached label set; L always satisfies |L| > k * r(L).
         """
+        endpoints = self.graph.endpoints
         parent: dict[int, int | None] = {eid: None}
         queue = deque([eid])
         while queue:
@@ -185,7 +166,10 @@ class _ForestPartition:
             for j in range(self.k):
                 if j == own:
                     continue
-                circuit = self._fundamental_circuit(j, f)
+                # the exchange partners of f in forest j: the forest path
+                # between its endpoints, [] for a loop, None when j + f is a
+                # forest
+                circuit = self._forest_path(j, *endpoints[f])
                 if circuit is None:
                     self._apply_chain(parent, f, j)
                     return True, None
@@ -216,7 +200,11 @@ class _ForestPartition:
     def _assert_forest(self, j: int) -> None:
         # every edge owner assigns to forest j, a loop included, must join
         # two different components of the edges before it; raised, not
-        # asserted, so python -O keeps the check
+        # asserted, so python -O keeps the check. It keeps its own pass over
+        # owner rather than graphs._spanning_forest_size: building the pairs
+        # for that call cost about 6% on partition and bounded-search calls
+        # in an interleaved A/B, and the bench tracer would wrap the
+        # cross-module call in a span on every augmentation
         endpoints = self.graph.endpoints
         parent: dict[int, int] = {}
         for e, owner in self.owner.items():

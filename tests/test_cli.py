@@ -300,6 +300,16 @@ def test_out_of_memory_is_exit_2(graph_file, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_deep_matching_search_is_exit_2(graph_file, capsys):
+    # a 3000-vertex path is a forest, but the maximal-matching search
+    # recurses once per matched edge and runs out of stack before its first
+    # matching; that is an input too large, not a crash
+    assert main(["decompose", graph_file("p3000.txt", path(3000)), "--k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_experiment_cli(capsys):
     rc = main(
         [

@@ -7,8 +7,11 @@ from arborkit import (
     DeskScaleExceeded,
     ExperimentConfig,
     Graph,
+    SplitMix64,
+    arboricity,
     decompose_forests_bounded,
     decompose_forests_matching,
+    derive_seed,
     graph_stats,
     maximal_matchings,
     verify_decomposition,
@@ -134,6 +137,193 @@ def test_bounded_decomposition_forest_gate(monkeypatch):
     for kind in ("forest", "graph"):
         with pytest.raises(DeskScaleExceeded):
             decompose_forests_bounded(long_path, 1, 1, kind)
+
+
+FROZEN_BASE_SEED = 8675309
+EDGE_LETTERS = "abcdefghijklmnop"
+
+
+def _frozen_graph(i):
+    """A seeded multigraph on 4..9 vertices with at most 16 edges, in drawn
+    order: about one edge in eight repeats an earlier one, and up to two
+    isolated vertices follow the drawn ones."""
+    rng = SplitMix64(derive_seed(FROZEN_BASE_SEED, i))
+    n = 4 + rng.below(6)
+    m = min(n - 1 + rng.below(n + 4), 16)
+    edges = []
+    for _ in range(m):
+        if edges and rng.below(8) == 0:
+            edges.append(edges[rng.below(len(edges))])
+            continue
+        u = rng.below(n)
+        v = rng.below(n - 1)
+        if v >= u:
+            v += 1
+        edges.append((u, v))
+    return Graph(n + rng.below(3), tuple(edges))
+
+
+def _spell(dec):
+    """None, or the forests in order and then the remainder, each as its
+    edge ids written as letters (a = 0), e.g. "abd|ce:f"."""
+    if dec is None:
+        return None
+
+    def word(edges):
+        return "".join(EDGE_LETTERS[e] for e in sorted(edges))
+    return "|".join(map(word, dec.forests)) + ":" + word(dec.remainder)
+
+
+# (graph, k, matching, forest d = 1, 2, 3, graph d = 1, 2, 3) for
+# k = arboricity - 1 (never below 0) and k = arboricity
+FROZEN_DECOMPOSITIONS = [
+    (0, 2, "ad|e:bc", "abc|d:e", "abc|d:e", "abc|d:e", "abc|d:e", "abc|d:e", "abc|d:e"),
+    (0, 3, "ad|e|:bc", "abc|d|e:", "abc|d|e:", "abc|d|e:", "abc|d|e:", "abc|d|e:", "abc|d|e:"),
+    (1, 2, None, None, "begijn|cfhklp:admo", "begijn|cfhklp:admo", None, "begijn|cfhklp:admo",
+     "begijn|cfhklp:admo"),
+    (1, 3, "abehij|cfklop|dm:gn", "begijn|cfhklp|admo:", "begijn|cfhklp|admo:",
+     "begijn|cfhklp|admo:", "begijn|cfhklp|admo:", "begijn|cfhklp|admo:", "begijn|cfhklp|admo:"),
+    (2, 1, "acdf:be", "abcf:de", "abce:df", "abce:df", "abcf:de", "abce:df", "abce:df"),
+    (2, 2, "bce|d:af", "abce|df:", "abce|df:", "abce|df:", "abce|df:", "abce|df:", "abce|df:"),
+    (3, 0, None, None, ":abc", ":abc", None, ":abc", ":abc"),
+    (3, 1, "bc:a", "abc:", "abc:", "abc:", "abc:", "abc:", "abc:"),
+    (4, 1, "bdefg:ac", "abcde:fg", "abcde:fg", "abcde:fg", "abcde:fg", "abcde:fg", "abcde:fg"),
+    (4, 2, "bdefg|:ac", "abcde|fg:", "abcde|fg:", "abcde|fg:", "abcde|fg:", "abcde|fg:",
+     "abcde|fg:"),
+    (5, 1, "bcd:a", "abd:c", "abd:c", "abd:c", "abd:c", "abd:c", "abd:c"),
+    (5, 2, "bcd|:a", "abd|c:", "abd|c:", "abd|c:", "abd|c:", "abd|c:", "abd|c:"),
+    (6, 3, "ace|dgj|fhi:b", "abc|deg|fhi:j", "abc|deg|fhi:j", "abc|deg|fhi:j", "abc|deg|fhi:j",
+     "abc|deg|fhi:j", "abc|deg|fhi:j"),
+    (6, 4, "ace|dfg|hi|j:b", "abc|deg|fhi|j:", "abc|deg|fhi|j:", "abc|deg|fhi|j:", "abc|deg|fhi|j:",
+     "abc|deg|fhi|j:", "abc|deg|fhi|j:"),
+    (7, 2, None, None, "bce|dgi:afh", "bce|dgi:afh", None, "bce|dgh:afi", "bce|dgh:afi"),
+    (7, 3, "bcf|dgh|i:ae", "abc|dgh|efi:", "abc|dgh|efi:", "abc|dgh|efi:", "abc|dgh|efi:",
+     "abc|dgh|efi:", "abc|dgh|efi:"),
+    (8, 3, "abcfj|ghkmn|i:del", "acdlmn|befhk|gj:i", "acdlmn|befhk|gj:i", "acdlmn|befhk|gj:i",
+     "acdlmn|befhk|gj:i", "acdlmn|befhk|gj:i", "acdlmn|befhk|gj:i"),
+    (8, 4, "cdehlm|fjkn|g|i:ab", "acdlmn|befhk|gj|i:", "acdlmn|befhk|gj|i:", "acdlmn|befhk|gj|i:",
+     "acdlmn|befhk|gj|i:", "acdlmn|befhk|gj|i:", "acdlmn|befhk|gj|i:"),
+    (9, 1, "bcd:a", "abd:c", "abd:c", "abd:c", "abd:c", "abd:c", "abd:c"),
+    (9, 2, "bcd|:a", "abd|c:", "abd|c:", "abd|c:", "abd|c:", "abd|c:", "abd|c:"),
+    (10, 4, "abfghk|cjlm|np|o:dei", "abdegkp|cfhl|ijm|n:o", "abdegkp|cfhl|ijm|n:o",
+     "abdegkp|cfhl|ijm|n:o", "abdegkp|cfhl|ijm|n:o", "abdegkp|cfhl|ijm|n:o",
+     "abdegkp|cfhl|ijm|n:o"),
+    (10, 5, "abfghk|cjlm|np|o|:dei", "abdegkp|cfhl|ijm|n|o:", "abdegkp|cfhl|ijm|n|o:",
+     "abdegkp|cfhl|ijm|n|o:", "abdegkp|cfhl|ijm|n|o:", "abdegkp|cfhl|ijm|n|o:",
+     "abdegkp|cfhl|ijm|n|o:"),
+    (11, 2, "abdegj|fhilm:ck", "abcdgk|efilm:hj", "abcdgk|efilm:hj", "abcdgk|efilm:hj",
+     "abcdgk|efilm:hj", "abcdgk|efilm:hj", "abcdgk|efilm:hj"),
+    (11, 3, "abdegj|fhilm|:ck", "abcdgk|efilm|hj:", "abcdgk|efilm|hj:", "abcdgk|efilm|hj:",
+     "abcdgk|efilm|hj:", "abcdgk|efilm|hj:", "abcdgk|efilm|hj:"),
+    (12, 2, "bdefi|ghjk:ac", "abcfi|degj:hk", "abcfi|degj:hk", "abcfi|degj:hk", "abcfi|degj:hk",
+     "abcfi|degj:hk", "abcfi|degj:hk"),
+    (12, 3, "bdefi|ghjk|:ac", "abcfi|degj|hk:", "abcfi|degj|hk:", "abcfi|degj|hk:",
+     "abcfi|degj|hk:", "abcfi|degj|hk:", "abcfi|degj|hk:"),
+    (13, 3, "abd|efi|hj:cg", "bcj|fhi|ade:g", "bcj|fhi|ade:g", "bcj|fhi|ade:g", "bcj|fhi|ade:g",
+     "bcj|fhi|ade:g", "bcj|fhi|ade:g"),
+    (13, 4, "abd|efi|hj|:cg", "bce|fhi|ad|gj:", "bce|fhi|ad|gj:", "bce|fhi|ad|gj:",
+     "bce|fhi|ad|gj:", "bce|fhi|ad|gj:", "bce|fhi|ad|gj:"),
+    (14, 2, None, None, "abcdfk|eghi:jlmn", "abcdfk|eghj:ilmn", None, "abcdfk|eghi:jlmn",
+     "abcdfk|ehjn:gilm"),
+    (14, 3, "bcdfhi|ejkn|lm:ag", "abcdfk|ehjl|gimn:", "abcdfk|ehjl|gimn:", "abcdfk|ehjl|gimn:",
+     "abcdfk|ehjl|gimn:", "abcdfk|ehjl|gimn:", "abcdfk|ehjl|gimn:"),
+    (15, 1, "acdeg:bf", "abcefg:d", "abcefg:d", "abcefg:d", "abcefg:d", "abcefg:d", "abcefg:d"),
+    (15, 2, "acdeg|:bf", "abcefg|d:", "abcefg|d:", "abcefg|d:", "abcefg|d:", "abcefg|d:",
+     "abcefg|d:"),
+    (16, 4, "bc|dg|e|f:a", "ac|bg|d|e:f", "ac|bg|d|e:f", "ac|bg|d|e:f", "ac|bg|d|e:f",
+     "ac|bg|d|e:f", "ac|bg|d|e:f"),
+    (16, 5, "bc|dg|e|f|:a", "ac|bg|d|e|f:", "ac|bg|d|e|f:", "ac|bg|d|e|f:", "ac|bg|d|e|f:",
+     "ac|bg|d|e|f:", "ac|bg|d|e|f:"),
+    (17, 1, "cde:ab", "abcd:e", "abcd:e", "abcd:e", "abcd:e", "abcd:e", "abcd:e"),
+    (17, 2, "abc|e:d", "abcd|e:", "abcd|e:", "abcd|e:", "abcd|e:", "abcd|e:", "abcd|e:"),
+    (18, 3, "acegi|fj|h:bd", "bdegi|acj|f:h", "bdegi|acj|f:h", "bdegi|acj|f:h", "bdegi|acj|f:h",
+     "bdegi|acj|f:h", "bdegi|acj|f:h"),
+    (18, 4, "acegi|fj|h|:bd", "bdegi|acj|f|h:", "bdegi|acj|f|h:", "bdegi|acj|f|h:",
+     "bdegi|acj|f|h:", "bdegi|acj|f|h:", "bdegi|acj|f|h:"),
+    (19, 2, None, None, "begk|acij:dfhl", "begk|acij:dfhl", None, "begk|acij:dfhl",
+     "begk|acij:dfhl"),
+    (19, 3, "aceg|dhij|kl:bf", "begk|acij|dfhl:", "begk|acij|dfhl:", "begk|acij|dfhl:",
+     "begk|acij|dfhl:", "begk|acij|dfhl:", "begk|acij|dfhl:"),
+    (20, 1, "cdef:ab", "abcdf:e", "abcdf:e", "abcdf:e", "abcdf:e", "abcdf:e", "abcdf:e"),
+    (20, 2, "abdf|e:c", "abcdf|e:", "abcdf|e:", "abcdf|e:", "abcdf|e:", "abcdf|e:", "abcdf|e:"),
+    (21, 3, "bcfg|ehij|klm:ad", "afgi|bjkm|cde:hl", "afgi|bjkm|cde:hl", "afgi|bjkm|cde:hl",
+     "afgi|bjkm|cde:hl", "afgi|bjkm|cde:hl", "afgi|bjkm|cde:hl"),
+    (21, 4, "bcfg|ehij|klm|:ad", "acgh|bjkm|dei|fl:", "acgh|bjkm|dei|fl:", "acgh|bjkm|dei|fl:",
+     "acgh|bjkm|dei|fl:", "acgh|bjkm|dei|fl:", "acgh|bjkm|dei|fl:"),
+    (22, 1, "cde:ab", "abce:d", "abce:d", "abce:d", "abce:d", "abce:d", "abce:d"),
+    (22, 2, "cde|:ab", "abce|d:", "abce|d:", "abce|d:", "abce|d:", "abce|d:", "abce|d:"),
+    (23, 2, "abdi|efgj:ch", "abcd|fghj:ei", "abcd|efgj:hi", "abcd|efgj:hi", "abcd|fghj:ei",
+     "abcd|efgj:hi", "abcd|efgj:hi"),
+    (23, 3, "acdg|efhj|i:b", "abcd|efgj|hi:", "abcd|efgj|hi:", "abcd|efgj|hi:", "abcd|efgj|hi:",
+     "abcd|efgj|hi:", "abcd|efgj|hi:"),
+    (24, 2, "bcgh|dei:af", "abcfg|deh:i", "abcfg|deh:i", "abcfg|deh:i", "abcfg|deh:i",
+     "abcfg|deh:i", "abcfg|deh:i"),
+    (24, 3, "bcgh|dei|:af", "abcfg|deh|i:", "abcfg|deh|i:", "abcfg|deh|i:", "abcfg|deh|i:",
+     "abcfg|deh|i:", "abcfg|deh|i:"),
+    (25, 4, "acfgh|i|j|k:bde", "abcdeg|fh|i|j:k", "abcdeg|fh|i|j:k", "abcdeg|fh|i|j:k",
+     "abcdeg|fh|i|j:k", "abcdeg|fh|i|j:k", "abcdeg|fh|i|j:k"),
+    (25, 5, "acfgh|i|j|k|:bde", "abcdeg|fh|i|j|k:", "abcdeg|fh|i|j|k:", "abcdeg|fh|i|j|k:",
+     "abcdeg|fh|i|j|k:", "abcdeg|fh|i|j|k:", "abcdeg|fh|i|j|k:"),
+    (26, 1, None, None, "adefgj:bchi", "adefgj:bchi", None, "adefgj:bchi", "adefgj:bchi"),
+    (26, 2, "acdehj|bi:fg", "adefgj|bchi:", "adefgj|bchi:", "adefgj|bchi:", "adefgj|bchi:",
+     "adefgj|bchi:", "adefgj|bchi:"),
+    (27, 2, "bcf|e:ad", "acd|bf:e", "acd|bf:e", "acd|bf:e", "acd|bf:e", "acd|bf:e", "acd|bf:e"),
+    (27, 3, "bcf|e|:ad", "acd|bf|e:", "acd|bf|e:", "acd|bf|e:", "acd|bf|e:", "acd|bf|e:",
+     "acd|bf|e:"),
+    (28, 3, "defgik|hlmno|jp:abc", "cdeklp|abfgmo|hin:j", "cdeklp|abfgmo|hin:j",
+     "cdeklp|abfgmo|hin:j", "cdeklp|abfgmo|hin:j", "cdeklp|abfgmo|hin:j", "cdeklp|abfgmo|hin:j"),
+    (28, 4, "acdefk|gmnop|h|j:bil", "cdeklp|abfgmo|hin|j:", "cdeklp|abfgmo|hin|j:",
+     "cdeklp|abfgmo|hin|j:", "cdeklp|abfgmo|hin|j:", "cdeklp|abfgmo|hin|j:",
+     "cdeklp|abfgmo|hin|j:"),
+    (29, 2, "bc|de:a", "ac|be:d", "ac|be:d", "ac|be:d", "ac|be:d", "ac|be:d", "ac|be:d"),
+    (29, 3, "bc|de|:a", "ac|be|d:", "ac|be|d:", "ac|be|d:", "ac|be|d:", "ac|be|d:", "ac|be|d:"),
+    (30, 1, None, None, "bcd:aef", "bcd:aef", None, "bcd:aef", "bcd:aef"),
+    (30, 2, "acd|f:be", "bcd|aef:", "bcd|aef:", "bcd|aef:", "bcd|aef:", "bcd|aef:", "bcd|aef:"),
+    (31, 1, None, None, None, "adeghi:bcfjk", None, None, "adeghi:bcfjk"),
+    (31, 2, "acdghi|fjk:be", "adeghi|bcfjk:", "adeghi|bcfjk:", "adeghi|bcfjk:", "adeghi|bcfjk:",
+     "adeghi|bcfjk:", "adeghi|bcfjk:"),
+    (32, 2, "acfij|behkm:dgl", "acdefg|bhikl:jm", "acdefg|bhikl:jm", "acdefg|bhikl:jm",
+     "acdefg|bhikl:jm", "acdefg|bhikl:jm", "acdefg|bhikl:jm"),
+    (32, 3, "acefi|bhkm|j:dgl", "acdefg|bhikl|jm:", "acdefg|bhikl|jm:", "acdefg|bhikl|jm:",
+     "acdefg|bhikl|jm:", "acdefg|bhikl|jm:", "acdefg|bhikl|jm:"),
+    (33, 1, None, None, "abcfgi:dehj", "abcfgi:dehj", None, "abcfgi:dehj", "abcfgi:dehj"),
+    (33, 2, "acgij|dh:bef", "abcfgi|dehj:", "abcfgi|dehj:", "abcfgi|dehj:", "abcfgi|dehj:",
+     "abcfgi|dehj:", "abcfgi|dehj:"),
+    (34, 0, None, None, ":abc", ":abc", None, ":abc", ":abc"),
+    (34, 1, "bc:a", "abc:", "abc:", "abc:", "abc:", "abc:", "abc:"),
+    (35, 2, "aefjkl|ghi:bcd", "abefjl|cdghi:k", "abefjl|cdghi:k", "abefjl|cdghi:k",
+     "abefjl|cdghi:k", "abefjl|cdghi:k", "abefjl|cdghi:k"),
+    (35, 3, "aefgjl|hi|k:bcd", "abfijl|cdgh|ek:", "abfijl|cdgh|ek:", "abfijl|cdgh|ek:",
+     "abfijl|cdgh|ek:", "abfijl|cdgh|ek:", "abfijl|cdgh|ek:"),
+    (36, 1, "acd:b", "bcd:a", "bcd:a", "bcd:a", "bcd:a", "bcd:a", "bcd:a"),
+    (36, 2, "acd|:b", "bcd|a:", "bcd|a:", "bcd|a:", "bcd|a:", "bcd|a:", "bcd|a:"),
+    (37, 2, "cehi|afg:bd", "abdg|cefh:i", "abdg|cefh:i", "abdg|cefh:i", "abdg|cefh:i",
+     "abdg|cefh:i", "abdg|cefh:i"),
+    (37, 3, "acef|gi|h:bd", "abdg|cefh|i:", "abdg|cefh|i:", "abdg|cefh|i:", "abdg|cefh|i:",
+     "abdg|cefh|i:", "abdg|cefh|i:"),
+    (38, 1, None, None, "acef:bd", "acef:bd", None, "acef:bd", "acef:bd"),
+    (38, 2, "bde|f:ac", "acef|bd:", "acef|bd:", "acef|bd:", "acef|bd:", "acef|bd:", "acef|bd:"),
+    (39, 2, None, None, "abcd|efgh:ij", "abcd|efgh:ij", None, "abcd|fghj:ei", "abcd|fghj:ei"),
+    (39, 3, "abce|fgi|j:dh", "abci|fghj|de:", "abci|fghj|de:", "abci|fghj|de:", "abci|fghj|de:",
+     "abci|fghj|de:", "abci|fghj|de:"),
+]
+
+
+def test_decompositions_frozen():
+    # which decomposition comes back, not only that it verifies: a change to
+    # the search order or to the partition engine moves these
+    assert len({(g, k) for g, k, *_ in FROZEN_DECOMPOSITIONS}) == 80
+    for g, k, matching, *bounded in FROZEN_DECOMPOSITIONS:
+        graph = _frozen_graph(g)
+        arb = arboricity(graph).value
+        assert k in (arb - 1, arb)
+        got = [decompose_forests_matching(graph, k)]
+        for kind in ("forest", "graph"):
+            got.extend(decompose_forests_bounded(graph, k, d, kind) for d in (1, 2, 3))
+        for dec, d in zip(got, (None, 1, 2, 3, 1, 2, 3)):
+            if dec is not None:
+                assert verify_decomposition(graph, dec, k, d) == (True, None)
+        assert [_spell(dec) for dec in got] == [matching, *bounded], (g, k)
 
 
 def test_verify_decomposition_clauses():

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from arborkit import (
     Graph,
     GraphFormatError,
+    cycle_rank,
     edge_induced_subgraph,
     graph_stats,
     line_graph,
@@ -11,6 +12,7 @@ from arborkit import (
     serialize_graph,
 )
 from helpers import complete_graph, cycle, path, star
+from oracles import subgraph_rank
 
 
 def test_rejects_out_of_range_endpoints():
@@ -120,6 +122,35 @@ def multigraphs(draw):
 @example(Graph(3, ((1, 1), (0, 1), (0, 1))))
 def test_parse_serialize_roundtrip_on_multigraphs(g):
     assert parse_graph(serialize_graph(g)) == g
+
+
+@st.composite
+def graphs_with_subsets(draw):
+    g = draw(multigraphs())
+    return g, draw(st.sets(st.integers(0, g.edge_count - 1))) if g.edge_count else set()
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_subsets())
+@example((Graph(4, ((0, 0), (1, 2), (1, 2), (2, 3))), {0, 1, 2}))
+@example((Graph(3, ((0, 1), (1, 1))), {1}))
+@example((Graph(5, ((0, 1), (2, 3))), {0, 1}))
+def test_stats_and_cycle_rank_match_the_definitions(case):
+    g, subset = case
+    deg = {}
+    for e in subset:
+        u, v = g.endpoints[e]
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    rank = subgraph_rank(g, subset)
+    s = graph_stats(g, subset)
+    assert s.n == len(deg)
+    assert s.c == len(deg) - rank
+    assert s.min_degree == (min(deg.values()) if deg else 0)
+    # a matching's edges touch two vertices each, and no vertex twice
+    assert s.is_matching == (len(deg) == 2 * len(subset))
+    assert s.is_forest == (rank == len(subset))
+    assert cycle_rank(g, subset) == rank
 
 
 def test_parse_skips_comments_and_blanks():
