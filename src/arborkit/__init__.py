@@ -19,6 +19,7 @@ from .decompose import (
     decompose_forests_bounded,
     decompose_forests_matching,
     maximal_matchings,
+    remainder_witness,
     verify_decomposition,
 )
 from .domination import (

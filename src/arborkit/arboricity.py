@@ -185,7 +185,7 @@ def fractional_arboricity(graph: Graph) -> FracArbResult:
     used, pairs = _touched_pairs(graph)
     n = len(used)
     # the densest set on the peeling chain is a real set: at most gamma_f
-    lam = Fraction(*_peeling_exceeds(n, pairs, 0, 1, densest=True))
+    lam = Fraction(*_peeling_exceeds(n, pairs, _density_limits(n, 0, 1), densest=True))
     steps = 0
     while True:
         steps += 1
@@ -204,17 +204,28 @@ def fractional_arboricity(graph: Graph) -> FracArbResult:
         lam = new_lam
 
 
+def _density_limits(n: int, p: int, q: int) -> list[int]:
+    """limit[s] = floor(p (s - 1) / q) for s = 0..n. A set S of s vertices
+    has q |E(S)| > p (s - 1) exactly when |E(S)| > limit[s], since |E(S)| is
+    an integer, so one table turns the density test into one comparison."""
+    return [p * (s - 1) // q for s in range(n + 1)]
+
+
 def _peeling_exceeds(
-    n: int, endpoints, p: int, q: int, densest: bool = False
-) -> tuple[int, int] | None:
-    """A set S left by min-degree peeling with q |E(S)| > p (|S| - 1), as the
-    pair (|E(S)|, |S| - 1): the first such set on the chain, or with densest
-    the densest one (the largest on a tie); None when no set is that dense.
+    n: int, endpoints, limit: list[int], densest: bool = False, members: bool = False
+) -> tuple[int, int] | frozenset[int] | None:
+    """A set S left by min-degree peeling with |E(S)| > limit[|S|]: the first
+    such set on the chain, as the pair (|E(S)|, |S| - 1), or with members as
+    its vertex set; None when no set on the chain exceeds its limit.
+
+    With densest, limit is _density_limits(n, p, q) and the result is the
+    densest set on the chain (the largest on a tie) if it is denser than
+    p / q: each set found tightens the limits to its own density.
 
     Takes the raw pairs of a loop-free multigraph on 0..n-1, in any order:
     ties go to the lowest vertex, so the order of the pairs does not matter.
     Parallel edges count with multiplicity. Each set is checked exactly, so
-    a set proves gamma_f > p / q; None decides nothing.
+    with density limits a set proves gamma_f > p / q; None decides nothing.
     """
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in endpoints:
@@ -222,14 +233,18 @@ def _peeling_exceeds(
         adj[v].append(u)
     deg = list(map(len, adj))
     inside = len(endpoints)
-    gone = 2 * inside + 1  # above any live degree after a decrement per edge
+    # a live degree is at most |E|; a peeled vertex starts at 2 |E| + 1 and
+    # loses at most its degree afterwards, so it stays above every live one
+    gone = 2 * inside + 1
     found = None
     for size in range(n, 1, -1):
-        if q * inside > p * (size - 1):
+        if inside > limit[size]:
+            if members:
+                return frozenset(x for x, dx in enumerate(deg) if dx <= len(endpoints))
             found = (inside, size - 1)
             if not densest:
                 return found
-            p, q = found
+            limit = _density_limits(n, *found)
         low = deg.index(min(deg))
         inside -= deg[low]
         deg[low] = gone
@@ -259,7 +274,8 @@ def fractional_arboricity_at_most(graph: Graph, bound) -> bool:
     # peeling takes isolated vertices first and they add no edge, so the
     # peel of the other vertices, relabelled in order, decides the same
     used, pairs = _touched_pairs(graph)
-    if _peeling_exceeds(len(used), pairs, bound.numerator, bound.denominator):
+    n = len(used)
+    if _peeling_exceeds(n, pairs, _density_limits(n, bound.numerator, bound.denominator)):
         return False
     return not _improving_subset(pairs, bound, stop_at_first=True)[0]
 

@@ -20,6 +20,7 @@ from .decompose import (
     Decomposition,
     decompose_forests_bounded,
     decompose_forests_matching,
+    remainder_witness,
     verify_decomposition,
 )
 from .domination import edge_domination, two_path_domination
@@ -142,11 +143,12 @@ def cmd_decompose(args) -> int:
         dec = decompose_forests_bounded(graph, args.k, args.d, args.remainder)
     if dec is None:
         if args.json:
-            print(
-                json.dumps(
-                    {"status": "exhausted", "k": args.k, "kind": args.remainder, "d": args.d}
-                )
-            )
+            # the vertex set that proves the answer by counting, or null when
+            # only the search decided
+            witness = remainder_witness(graph, args.k, args.remainder, args.d)
+            doc = {"status": "exhausted", "k": args.k, "kind": args.remainder, "d": args.d}
+            doc["witness"] = None if witness is None else sorted(witness)
+            print(json.dumps(doc))
         else:
             print("status: exhausted")
         return 1
@@ -394,8 +396,9 @@ def main(argv=None) -> int:
         print("error: out of memory: the graph is too large", file=sys.stderr)
         return 2
     except RecursionError:
-        # the maximal-matching search recurses once per matched edge, and no
-        # gate bounds it, so a long path can overrun the interpreter's stack
+        # the bounded decomposition search recurses once per edge and the
+        # domination search once per chosen edge; a gate raised through
+        # ARBORKIT_MAX_EDGES can let them overrun the interpreter's stack
         print("error: recursion too deep: the graph is too large for this search", file=sys.stderr)
         return 2
 

@@ -12,9 +12,12 @@ remainder lives in a one-forest _ForestPartition of its own: an edge may join
 it when no forest path links its endpoints, and is added and removed directly,
 with no augmentation. A graph remainder needs only its degree counts.
 
-A None return means EXHAUSTED: the whole search space was enumerated and no
-decomposition exists at this (k, remainder) combination. That is a statement
-about this instance, not about any threshold.
+Both searches first ask remainder_witness for a vertex set with more edges
+than k forests and the remainder can hold inside it; such a set settles the
+answer before any search. A None return means EXHAUSTED: no decomposition
+exists at this (k, remainder) combination, proved by that set or by
+enumerating the whole search space. That is a statement about this instance,
+not about any threshold.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .arboricity import _edges_within, _peeling_exceeds, _touched_pairs
 from .graphs import Graph, check_edge_subset, graph_stats
 from .limits import BOUNDED_SEARCH_DEFAULT, check_gate
 from .matroid import _ForestPartition, matroid_partition
@@ -54,79 +58,124 @@ def maximal_matchings(graph: Graph) -> Iterator[frozenset[int]]:
 
     Branches on the first edge (in priority order) with both endpoints
     unmatched: either an edge at u joins the matching, or u is pinned
-    unmatched and some edge at v must join.
+    unmatched and some edge at v must join. The branch points live on an
+    explicit stack, so a long path does not overrun the interpreter's
+    recursion limit. The matching only grows below a branch point, so the
+    edges before its pivot stay covered and the next pivot scan resumes there.
     """
     if graph.has_loop():
         raise ValueError("matchings are undefined with loops present")
+    ends = graph.endpoints
     order = _edge_priority(graph)
     matched = [False] * graph.vertex_count
     pinned = [False] * graph.vertex_count
     chosen: list[int] = []
     at: list[list[int]] = [[] for _ in range(graph.vertex_count)]
     for e in order:
-        u, v = graph.endpoints[e]
+        u, v = ends[e]
         at[u].append(e)
         at[v].append(e)
-
-    def usable(e: int, x: int) -> bool:
-        u, v = graph.endpoints[e]
-        w = v if x == u else u
-        return not matched[w] and not pinned[w]
-
-    def take(e: int):
-        u, v = graph.endpoints[e]
-        matched[u] = matched[v] = True
-        chosen.append(e)
-
-    def drop(e: int):
-        u, v = graph.endpoints[e]
-        matched[u] = matched[v] = False
-        chosen.pop()
-
-    def walk() -> Iterator[frozenset[int]]:
-        pivot = None
-        for e in order:
-            u, v = graph.endpoints[e]
+    # a branch point: [pivot position, the vertices whose edges are tried in
+    # turn, which of them, next index into its edges, the edge taken or -1]
+    stack: list[list] = []
+    cursor = 0
+    while True:
+        while cursor < len(order):
+            u, v = ends[order[cursor]]
             if not matched[u] and not matched[v]:
-                pivot = e
                 break
-        if pivot is None:
+            cursor += 1
+        if cursor == len(order):
             yield frozenset(chosen)
+        elif not pinned[u] or not pinned[v]:
+            anchors = (v,) if pinned[u] else (u,) if pinned[v] else (u, v)
+            stack.append([cursor, anchors, 0, 0, -1])
+        # move the innermost branch point to its next choice
+        while stack:
+            frame = stack[-1]
+            cursor, anchors, which, i, taken = frame
+            if taken >= 0:
+                a, b = ends[taken]
+                matched[a] = matched[b] = False
+                chosen.pop()
+            anchor = anchors[which]
+            edges = at[anchor]
+            while i < len(edges):
+                a, b = ends[edges[i]]
+                w = b if a == anchor else a
+                if not matched[w] and not pinned[w]:
+                    break
+                i += 1
+            if i < len(edges):
+                taken = edges[i]
+                frame[3], frame[4] = i + 1, taken
+                a, b = ends[taken]
+                matched[a] = matched[b] = True
+                chosen.append(taken)
+                break
+            if which + 1 < len(anchors):
+                # no edge at u joins: pin u and let an edge at v join
+                pinned[anchor] = True
+                frame[2:] = which + 1, 0, -1
+            else:
+                if which:
+                    pinned[anchors[0]] = False
+                stack.pop()
+        else:
             return
-        u, v = graph.endpoints[pivot]
-        if pinned[u] and pinned[v]:
-            return
-        if pinned[u] or pinned[v]:
-            anchor = v if pinned[u] else u
-            for e in at[anchor]:
-                if usable(e, anchor):
-                    take(e)
-                    yield from walk()
-                    drop(e)
-            return
-        for e in at[u]:
-            if usable(e, u):
-                take(e)
-                yield from walk()
-                drop(e)
-        pinned[u] = True
-        for e in at[v]:
-            if usable(e, v):
-                take(e)
-                yield from walk()
-                drop(e)
-        pinned[u] = False
-
-    yield from walk()
 
 
-def decompose_forests_matching(graph: Graph, k: int) -> Decomposition | None:
-    """k forests plus a matching covering E, or None when the search space
-    (all maximal matchings) is exhausted."""
+def _remainder_cap(kind: str, d: int | None, s: int) -> int:
+    """The most edges a remainder of this kind holds on s vertices."""
+    if kind == "matching":
+        return s // 2
+    if kind == "graph":
+        return d * s // 2
+    return min(s - 1, d * s // 2)
+
+
+def _check_request(graph: Graph, k: int, kind: str, d: int | None) -> None:
+    if kind not in REMAINDER_KINDS:
+        raise ValueError(f"kind must be one of {', '.join(REMAINDER_KINDS)}, got {kind!r}")
+    if kind != "matching" and (d is None or d < 1):
+        raise ValueError("d must be a positive integer")
     if k < 0:
         raise ValueError("k must be nonnegative")
     if graph.has_loop():
         raise ValueError("decomposition requires a loop-free graph")
+
+
+def remainder_witness(
+    graph: Graph, k: int, kind: str, d: int | None = None
+) -> frozenset[int] | None:
+    """A vertex set S that proves no k forests plus a remainder of this kind
+    (max degree d for "forest" and "graph") cover E, or None.
+
+    Inside S, k forests hold at most k (|S| - 1) edges and the remainder at
+    most floor(|S| / 2) for a matching, floor(d |S| / 2) for a graph and
+    min(|S| - 1, floor(d |S| / 2)) for a forest. S is the first set on the
+    min-degree peeling chain (Charikar 2000) with more edges than that, ties
+    to the lowest vertex; None decides nothing. The witness is re-counted on
+    the graph before it is returned.
+    """
+    _check_request(graph, k, kind, d)
+    used, pairs = _touched_pairs(graph)
+    limit = [k * (s - 1) + _remainder_cap(kind, d, s) for s in range(len(used) + 1)]
+    found = _peeling_exceeds(len(used), pairs, limit, members=True)
+    if found is None:
+        return None
+    witness = frozenset(used[x] for x in found)
+    s = len(witness)
+    if _edges_within(graph, witness) <= k * (s - 1) + _remainder_cap(kind, d, s):
+        raise AssertionError("internal error: the remainder witness is not over its edge bound")
+    return witness
+
+
+def decompose_forests_matching(graph: Graph, k: int) -> Decomposition | None:
+    """k forests plus a matching covering E, or None when a counting witness
+    rules it out or the search space (all maximal matchings) is exhausted."""
+    if remainder_witness(graph, k, "matching") is not None:
+        return None
     full = graph.full_edge_set()
     cap = k * max(graph.vertex_count - 1, 0)
     for matching in maximal_matchings(graph):
@@ -146,16 +195,14 @@ def decompose_forests_matching(graph: Graph, k: int) -> Decomposition | None:
 
 def decompose_forests_bounded(graph: Graph, k: int, d: int, kind: str) -> Decomposition | None:
     """k forests plus a max-degree-d remainder (a forest or an arbitrary
-    graph, per kind). None means the assignment search is exhausted."""
+    graph, per kind). None means a counting witness rules it out or the
+    assignment search is exhausted."""
     if kind not in ("forest", "graph"):
         raise ValueError(f"kind must be 'forest' or 'graph', got {kind!r}")
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if graph.has_loop():
-        raise ValueError("decomposition requires a loop-free graph")
+    _check_request(graph, k, kind, d)
     check_gate(graph.edge_count, BOUNDED_SEARCH_DEFAULT, "decompose_forests_bounded")
+    if remainder_witness(graph, k, kind, d) is not None:
+        return None
     order = _edge_priority(graph)
     part = _ForestPartition(graph, k)
     deg_rem = [0] * graph.vertex_count

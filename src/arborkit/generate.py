@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arboricity import _peeling_exceeds, fractional_arboricity_at_most
+from .arboricity import _density_limits, _peeling_exceeds, fractional_arboricity_at_most
 from .graphs import Graph
 
 _MASK64 = (1 << 64) - 1
@@ -129,10 +129,10 @@ def generate(spec: GenSpec) -> Graph:
     if not spec.allow_parallel and m > len(pairs):
         raise ValueError(f"{m} edges do not fit in a simple graph on {n} vertices")
     rng = SplitMix64(spec.seed)
-    p, q = spec.target_bound.as_integer_ratio()
+    limit = _density_limits(n, *spec.target_bound.as_integer_ratio())
     for _ in range(spec.max_rejections):
         edges = _draw_multi(rng, n, m) if spec.allow_parallel else _draw_simple(rng, pairs, m)
-        if not _peeling_exceeds(n, edges, p, q):
+        if not _peeling_exceeds(n, edges, limit):
             graph = Graph(n, tuple(sorted(edges)))
             if fractional_arboricity_at_most(graph, spec.target_bound):
                 return graph

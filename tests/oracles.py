@@ -249,6 +249,35 @@ def forest_cover_exists(graph, k, edges):
     return rec(0)
 
 
+def brute_decomposable(graph, k, kind, d=None):
+    """Whether the edges split into k forests plus a remainder of the kind:
+    a matching, or a forest or graph of max degree d. Tries every matching,
+    or every edge subset as the remainder."""
+    m = graph.edge_count
+    if kind == "matching":
+        remainders = all_matchings(graph)
+    else:
+        remainders = []
+        for size in range(m + 1):
+            for combo in combinations(range(m), size):
+                degree = {}
+                for e in combo:
+                    for x in graph.endpoints[e]:
+                        degree[x] = degree.get(x, 0) + 1
+                if any(c > d for c in degree.values()):
+                    continue
+                if kind == "forest" and subgraph_rank(graph, combo) != len(combo):
+                    continue
+                remainders.append(frozenset(combo))
+    # k forests hold at most k (n - 1) edges, so larger rests need no search
+    room = k * max(graph.vertex_count - 1, 0)
+    return any(
+        forest_cover_exists(graph, k, set(range(m)) - rem)
+        for rem in remainders
+        if m - len(rem) <= room
+    )
+
+
 def brute_arboricity(graph):
     """Least k such that the whole edge set splits into k forests."""
     if any(u == v for u, v in graph.endpoints):

@@ -17,7 +17,7 @@ from arborkit import (
     is_infinite,
     partition_into_forests,
 )
-from arborkit.arboricity import _peeling_exceeds
+from arborkit.arboricity import _density_limits, _peeling_exceeds
 from helpers import (
     complete_bipartite,
     complete_graph,
@@ -346,11 +346,12 @@ def loop_free_pair_lists(draw):
 @given(loop_free_pair_lists(), st.integers(1, 16), st.integers(1, 6), st.data())
 def test_peeling_witness_is_sound_and_order_free(drawn, p, q, data):
     n, edges = drawn
-    exceeds = _peeling_exceeds(n, edges, p, q)
+    limit = _density_limits(n, p, q)
+    exceeds = _peeling_exceeds(n, edges, limit)
     if exceeds:
         assert brute_frac_arboricity(Graph(n, tuple(edges))) > Fraction(p, q)
     # the generator peels its draws before sorting them
-    assert _peeling_exceeds(n, data.draw(st.permutations(edges)), p, q) == exceeds
+    assert _peeling_exceeds(n, data.draw(st.permutations(edges)), limit) == exceeds
 
 
 @st.composite

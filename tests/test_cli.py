@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from arborkit import Graph, serialize_graph
+from arborkit import Decomposition, Graph, serialize_graph, verify_decomposition
 from arborkit.cli import _parse_range, main
 from helpers import complete_graph, cycle, doubled_cycle, path
 
@@ -93,7 +93,10 @@ def test_decompose_exhausted(graph_file, capsys):
     assert capsys.readouterr().out == "status: exhausted\n"
     assert main(["decompose", f, "--k", "1", "--json"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    assert doc == {"status": "exhausted", "k": 1, "kind": "matching", "d": None}
+    # six edges on four vertices: one forest holds 3 and a matching 2
+    assert doc == {
+        "status": "exhausted", "k": 1, "kind": "matching", "d": None, "witness": [0, 1, 2, 3],
+    }
 
 
 def test_decompose_and_verify_roundtrip(graph_file, tmp_path, capsys):
@@ -300,14 +303,18 @@ def test_out_of_memory_is_exit_2(graph_file, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_deep_matching_search_is_exit_2(graph_file, capsys):
-    # a 3000-vertex path is a forest, but the maximal-matching search
-    # recurses once per matched edge and runs out of stack before its first
-    # matching; that is an input too large, not a crash
-    assert main(["decompose", graph_file("p3000.txt", path(3000)), "--k", "1"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "Traceback" not in err
+def test_deep_matching_search_answers(graph_file, capsys):
+    # the maximal-matching search keeps its branch points on a stack of its
+    # own, so a 3000-vertex path (a forest) gets a decomposition, not a
+    # stack overflow
+    assert main(["decompose", graph_file("p3000.txt", path(3000)), "--k", "1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    dec = Decomposition(
+        forests=tuple(frozenset(x) for x in doc["forests"]),
+        remainder=frozenset(doc["remainder"]),
+        kind=doc["kind"],
+    )
+    assert verify_decomposition(path(3000), dec, 1) == (True, None)
 
 
 def test_experiment_cli(capsys):

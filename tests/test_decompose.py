@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arborkit import (
     Decomposition,
@@ -14,10 +15,11 @@ from arborkit import (
     derive_seed,
     graph_stats,
     maximal_matchings,
+    remainder_witness,
     verify_decomposition,
 )
 from helpers import complete_graph, cycle, doubled_cycle, path, petersen, star
-from oracles import maximal_matchings_brute
+from oracles import brute_decomposable, maximal_matchings_brute
 
 
 def test_threshold_constants():
@@ -137,6 +139,58 @@ def test_bounded_decomposition_forest_gate(monkeypatch):
     for kind in ("forest", "graph"):
         with pytest.raises(DeskScaleExceeded):
             decompose_forests_bounded(long_path, 1, 1, kind)
+
+
+def test_remainder_witness_counts():
+    # K4 at k = 1: six edges on four vertices, a forest holds 3 and a
+    # matching 2
+    assert remainder_witness(complete_graph(4), 1, "matching") == frozenset(range(4))
+    # two disjoint triangles, six edges, no forests: a matching holds 3 of
+    # them and a forest remainder 5, but a max-degree-2 graph takes all six
+    two = Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+    assert remainder_witness(two, 0, "matching") == frozenset(range(6))
+    assert remainder_witness(two, 0, "graph", 2) is None
+    assert remainder_witness(two, 0, "forest", 2) == frozenset(range(6))
+    # a forest admits every decomposition, and no set proves otherwise
+    assert remainder_witness(path(5), 1, "matching") is None
+    assert remainder_witness(Graph(0, ()), 0, "matching") is None
+    with pytest.raises(ValueError):
+        remainder_witness(cycle(3), 1, "tree")
+    with pytest.raises(ValueError):
+        remainder_witness(cycle(3), 1, "graph")
+    with pytest.raises(ValueError):
+        remainder_witness(Graph(1, ((0, 0),)), 1, "matching")
+
+
+@st.composite
+def small_multigraphs(draw):
+    """1..8 vertices and 0..12 edges, parallel edges allowed, no loops."""
+    n = draw(st.integers(1, 8))
+    if n == 1:
+        return Graph(1, ())
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+        lambda t: tuple(sorted((t[0], (t[0] + t[1]) % n))))
+    return Graph(n, tuple(sorted(draw(st.lists(pair, max_size=12)))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(small_multigraphs(), st.integers(0, 3), st.sampled_from(("matching", "forest", "graph")),
+       st.integers(1, 3))
+def test_remainder_witness_against_brute(graph, k, kind, d):
+    witness = remainder_witness(graph, k, kind, d)
+    if witness is not None:
+        s = len(witness)
+        inside = sum(1 for u, v in graph.endpoints if u in witness and v in witness)
+        cap = {"matching": s // 2, "graph": d * s // 2, "forest": min(s - 1, d * s // 2)}[kind]
+        assert inside > k * (s - 1) + cap
+    exists = brute_decomposable(graph, k, kind, d)
+    if exists:
+        assert witness is None
+    if kind == "matching":
+        dec = decompose_forests_matching(graph, k)
+    else:
+        dec = decompose_forests_bounded(graph, k, d, kind)
+    assert (dec is not None) == exists
 
 
 FROZEN_BASE_SEED = 8675309
