@@ -23,9 +23,18 @@ edge says whether the edge would close a cycle. union_rank_table does not
 augment per subset: it evaluates the union formula r_k(X) = min over T of
 |X - T| + k * r(T) (Nash-Williams 1966; Edmonds 1968) for every X at once,
 from a cycle-rank table and a subset-min transform, and checks the full set
-against the augmenting search. Flats come from one bitmask scan, flat_masks.
-The brute-force evaluation of the formula, one X at a time, lives with the
-test oracles.
+against the augmenting search. Flats come from one scan of a rank table,
+flat_masks. The brute-force evaluation of the formula, one X at a time,
+lives with the test oracles.
+
+Both run on byte lanes: a table over the subsets of m elements is 2^m bytes,
+the value for bitmask X in byte X, read as one Python int with byte X in
+bits 8X..8X+7. The byteorder is always passed as "little", since Python 3.10
+has no default for it. A step over one element bit is then a few big-int
+operations: a shift by 8 * 2^i bits moves the lane of X + 2^i onto X, a mask
+picks the lanes that hold the bit, and _lane_min compares and selects
+lane-wise. That compare needs every lane below 128: the lanes of the union
+transform stay at most m + 2 <= 22 under UNION_TABLE_HARD_CAP.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from typing import Callable, Iterable
 from .graphs import Graph, _spanning_forest_size, check_edge_subset
 from .limits import DeskScaleExceeded, UNION_TABLE_HARD_CAP
 
-_TRANSFORM_PIECE = 1 << 13  # longest slice of union_rank_table's transform
+_LANE_PIECE = 1 << 13  # byte lanes in one piece of union_rank_table's transform
 
 
 class RankOracle:
@@ -254,21 +263,41 @@ def union_rank(graph: Graph, k: int, subset: Iterable[int]) -> int:
     return len(edges) - len(uncovered)
 
 
+def _bit_lanes(count: int, bit: int) -> int:
+    """0xff in each of count byte lanes whose index holds the bit, 0 in the
+    others; count is a power of two, at least 2^(bit + 1)."""
+    run = 1 << bit
+    return int.from_bytes((bytes(run) + b"\xff" * run) * (count >> bit + 1), "little")
+
+
+def _lane_min(s: int, cand: int, guard: int) -> int:
+    """Lane-wise min(s, cand) in the byte lanes where guard holds 0x80; s in
+    the others, where cand must be 0.
+
+    Every lane of s and cand is below 0x80, so (s | guard) - cand borrows
+    across no lane and keeps bit 7 of a guarded lane exactly where
+    s >= cand; that bit, spread to 0xff, selects cand.
+    """
+    take = ((s | guard) - cand) & guard
+    return s ^ ((s ^ cand) & (take >> 7) * 0xFF)
+
+
 def union_rank_table(graph: Graph, k: int) -> list[int]:
     """union_rank for every subset, indexed by edge bitmask.
 
     By the matroid union theorem (Nash-Williams 1966; Edmonds 1968)
     r_k(X) = min over T subset of X of |X - T| + k * r(T), with r the cycle
-    rank. Two passes fill one 2^m-entry list. The first stores k * r(T) for
-    every T: a depth-first walk of the subset tree (the parent of a mask is
-    the mask without its lowest edge) with a union-find that rolls back,
-    where an edge raises the rank exactly when it joins two components (a
-    loop never does). The second is the subset-min transform (Yates 1937):
-    for each bit, s[X] = min(s[X], s[X - bit] + 1) over every X holding the
-    bit, in place, one map over a pair of slices at a time. The list is
-    then r_k. Besides the list, memory holds one slice pair and its result,
-    each at most _TRANSFORM_PIECE long for any m; no popcount or second table
-    is kept. The full set is checked against the augmenting union_rank.
+    rank. A depth-first walk of the subset tree (the parent of a mask is the
+    mask without its lowest edge) with a union-find that rolls back writes
+    r(T) into a bytearray, byte T: an edge raises the rank exactly when it
+    joins two components (a loop never does). One bytes.translate turns r
+    into min(k * r, m + 1); a clamped entry never wins the min, since
+    r_k(X) <= |X| <= m. The subset-min transform (Yates 1937) then sets
+    s[X] = min(s[X], s[X - bit] + 1) for each bit over every X holding it,
+    on byte lanes (see _lane_min), in pieces of _LANE_PIECE lanes: a bit
+    below the piece width shifts lanes inside each piece, a higher bit pairs
+    whole pieces. The bytes are then r_k. The full set is checked against
+    the augmenting union_rank.
     """
     m = graph.edge_count
     if m > UNION_TABLE_HARD_CAP:
@@ -276,7 +305,7 @@ def union_rank_table(graph: Graph, k: int) -> list[int]:
     if k < 0:
         raise ValueError("k must be nonnegative")
     endpoints = graph.endpoints
-    table = [0] * (1 << m)
+    ranks = bytearray(1 << m)
     # union by size without path compression, so a union is undone by
     # resetting one parent pointer and one size
     up = list(range(graph.vertex_count))
@@ -291,7 +320,7 @@ def union_rank_table(graph: Graph, k: int) -> list[int]:
                 v = up[v]
             child = mask | 1 << e
             if u == v:
-                table[child] = value
+                ranks[child] = value
                 if e:
                     walk(child, e, value)
                 continue
@@ -299,28 +328,36 @@ def union_rank_table(graph: Graph, k: int) -> list[int]:
                 u, v = v, u
             up[v] = u
             size[u] += size[v]
-            table[child] = value + k
+            ranks[child] = value + 1
             if e:
-                walk(child, e, value + k)
+                walk(child, e, value + 1)
             up[v] = v
             size[u] -= size[v]
 
     walk(0, m, 0)
 
-    plus_one = (1).__add__
-    for i in range(m):
+    clamp = bytes(min(k * r, m + 1) for r in range(256))
+    width = min(len(ranks), _LANE_PIECE)
+    ones = int.from_bytes(b"\x01" * width, "little")
+    high = ones << 7
+    pieces = [
+        int.from_bytes(ranks[at:at + width].translate(clamp), "little")
+        for at in range(0, len(ranks), width)
+    ]
+    inside = width.bit_length() - 1  # the element bits below the piece width
+    for i in range(inside):
+        has_bit = _bit_lanes(width, i)
+        shift, one, guard = 8 << i, ones & has_bit, high & has_bit
+        pieces = [_lane_min(s, ((s << shift) & has_bit) + one, guard) for s in pieces]
+    for i in range(m - inside):
         step = 1 << i
-        block = step << 1
-        # low bit: a strided run per offset in a block; high bit: a run per block
-        if step <= 1 << (m - 1 - i):
-            starts, stride, count = range(step), block, 1 << (m - 1 - i)
-        else:
-            starts, stride, count = range(0, 1 << m, block), 1, step
-        span = min(count, _TRANSFORM_PIECE) * stride
-        for start in starts:
-            for lo in range(start, start + count * stride, span):
-                hi = slice(lo + step, lo + step + span, stride)
-                table[hi] = map(min, table[hi], map(plus_one, table[lo:lo + span:stride]))
+        for j in range(step, len(pieces)):
+            if j & step:
+                pieces[j] = _lane_min(pieces[j], pieces[j - step] + ones, high)
+    for j, piece in enumerate(pieces):
+        ranks[j * width:(j + 1) * width] = piece.to_bytes(width, "little")
+    del pieces  # before the 2^m-entry list is built, for peak memory at m = 20
+    table = list(ranks)
 
     full = (1 << m) - 1
     if table[full] != union_rank(graph, k, range(m)):
@@ -344,16 +381,27 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def flat_masks(size: int, rank: Callable[[int], int]) -> list[int]:
+def flat_masks(size: int, ranks: bytes) -> list[int]:
     """Bitmasks of all flats of a matroid on 0..size-1, in increasing order,
-    given its rank function on bitmasks: X is a flat iff every outside
-    element raises the rank."""
+    given its rank table: rank(X) in byte X, for each of the 2^size subsets.
+
+    X is a flat iff R[X + e] = R[X] + 1 for every e outside X. Per element,
+    the table shifted down by e's lanes puts R[X + e] in lane X; one xor with
+    R + 1 leaves a nonzero lane where X fails, and the lanes without e are
+    OR'd into a bad mask. The flats are its zero lanes. R + 1 carries across
+    no lane, as every rank is at most size.
+    """
+    count = 1 << size
+    table = int.from_bytes(ranks, "little")
+    raised = table + int.from_bytes(b"\x01" * count, "little")
+    bad = 0
+    for e in range(size):
+        shift = 8 << e
+        bad |= ((table >> shift) ^ raised) & _bit_lanes(count, e) >> shift
+    lanes = bad.to_bytes(count, "little")
     flats = []
-    for mask in range(1 << size):
-        raised = rank(mask) + 1
-        for e in range(size):
-            if not mask >> e & 1 and rank(mask | 1 << e) != raised:
-                break
-        else:
-            flats.append(mask)
+    mask = lanes.find(0)
+    while mask >= 0:
+        flats.append(mask)
+        mask = lanes.find(0, mask + 1)
     return flats

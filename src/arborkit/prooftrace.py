@@ -18,12 +18,14 @@ from .arboricity import fractional_arboricity_at_most
 from .domination import _edge_domination_core
 from .graphs import Graph, edge_induced_subgraph, line_graph
 from .limits import PROOFTRACE_DEFAULT, check_gate
-from .matroid import _bits, flat_masks, union_rank_table
+from .matroid import _bit_lanes, _bits, flat_masks, union_rank_table
 from .rationals import Infinite, format_value, is_infinite
 
 VERDICT_PASS = "PASS"
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
 VERDICT_FAIL = "FAIL"
+
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"  # bytes.translate table for b + 1
 
 
 def _matching_masks(graph: Graph) -> list[int]:
@@ -58,7 +60,20 @@ def _matching_masks(graph: Graph) -> list[int]:
     return out
 
 
-def _link_agrees(graph: Graph, table: list[int]) -> bool:
+def _size_lanes(m: int) -> bytes:
+    """|X| in byte X, for every X below 2^m."""
+    sizes = b"\0"
+    for _ in range(m):
+        sizes += sizes.translate(_PLUS_ONE)
+    return sizes
+
+
+def _equal_to(value: int) -> bytes:
+    """A bytes.translate table: 1 for value, 0 for every other byte."""
+    return bytes(int(b == value) for b in range(256))
+
+
+def _link_agrees(graph: Graph, table: bytes) -> bool:
     """(a) E splits into k forests plus a matching iff (b) the dual of the
     k-fold union has a base that is a matching; True when both agree."""
     m = graph.edge_count
@@ -73,37 +88,24 @@ def _link_agrees(graph: Graph, table: list[int]) -> bool:
     return covered == base_found
 
 
-def _basic_obs_holds(graph: Graph, table: list[int]) -> bool:
+def _basic_obs_holds(table: bytes, sizes: bytes) -> bool:
     """X is independent in the dual union matroid iff X is disjoint from
-    some maximum-size k-forest-coverable edge set."""
-    m = graph.edge_count
-    full_mask = (1 << m) - 1
-    ur_full = table[full_mask]
-    basics = [
-        mask
-        for mask in range(1 << m)
-        if mask.bit_count() == ur_full and table[mask] == ur_full
-    ]
-    # down-closure of the basic-set complements = everything avoiding one
-    avoiders: set[int] = set()
-    stack = [full_mask ^ b for b in basics]
-    while stack:
-        x = stack.pop()
-        if x in avoiders:
-            continue
-        avoiders.add(x)
-        rest = x
-        while rest:
-            low = rest & -rest
-            y = x ^ low
-            if y not in avoiders:
-                stack.append(y)
-            rest ^= low
-    for mask in range(1 << m):
-        independent = table[full_mask ^ mask] == ur_full
-        if independent != (mask in avoiders):
-            return False
-    return True
+    some maximum-size k-forest-coverable edge set (a basic set).
+
+    On byte lanes: lane X of `avoid` starts at 1 when E - X is basic, a
+    superset-OR transform takes it to the down-closure of the basic-set
+    complements (everything avoiding one), and it must equal the lanes
+    where r_k(E - X) = r_k(E).
+    """
+    count = len(table)
+    ur_full = table[-1]
+    independent = int.from_bytes(table[::-1].translate(_equal_to(ur_full)), "little")
+    m = count.bit_length() - 1
+    avoid = independent & int.from_bytes(sizes.translate(_equal_to(m - ur_full)), "little")
+    for i in range(m):
+        shift = 8 << i
+        avoid |= (avoid >> shift) & _bit_lanes(count, i) >> shift
+    return avoid == independent
 
 
 @dataclass(frozen=True)
@@ -133,16 +135,19 @@ class FlatRecord:
         }
 
 
-def _flat_records(graph: Graph, k: int, table: list[int]) -> list[FlatRecord]:
+def _flat_records(graph: Graph, k: int, table: bytes, sizes: bytes) -> list[FlatRecord]:
     m = graph.edge_count
-    full_mask = (1 << m) - 1
+    count = 1 << m
+    full_mask = count - 1
     ur_full = table[full_mask]
-
-    def rank_dual(mask: int) -> int:
-        return mask.bit_count() + table[full_mask ^ mask] - ur_full
-
+    # dual rank |X| + r_k(E - X) - r_k(E) in lane X; every lane sum is at
+    # least r_k(E), so the subtraction borrows across no lane
+    dual = (
+        int.from_bytes(sizes, "little") + int.from_bytes(table[::-1], "little")
+        - ur_full * int.from_bytes(b"\x01" * count, "little")
+    )
     records = []
-    for mask in flat_masks(m, rank_dual):
+    for mask in flat_masks(m, dual.to_bytes(count, "little")):
         comp = full_mask ^ mask
         x_ids = tuple(_bits(comp))
         if not x_ids:
@@ -202,10 +207,11 @@ def run_prooftrace(graph: Graph, k: int) -> ProofTraceReport:
     if k < 1:
         raise ValueError("k must be a positive integer")
     check_gate(graph.edge_count, PROOFTRACE_DEFAULT, "run_prooftrace")
-    table = union_rank_table(graph, k)
-    records = tuple(_flat_records(graph, k, table))
+    table = bytes(union_rank_table(graph, k))
+    sizes = _size_lanes(graph.edge_count)
+    records = tuple(_flat_records(graph, k, table, sizes))
     link_ok = _link_agrees(graph, table)
-    basic_ok = _basic_obs_holds(graph, table)
+    basic_ok = _basic_obs_holds(table, sizes)
     hyp = fractional_arboricity_at_most(graph, k + Fraction(1, 3 * k + 2))
     mindeg_all = all(r.mindeg_ok for r in records)
     inters_all = all(r.inters_status == "pass" for r in records)

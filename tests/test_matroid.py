@@ -21,7 +21,7 @@ import arborkit
 from arborkit import matroid
 from arborkit.matroid import _ForestPartition, flat_masks
 from helpers import complete_graph, cycle, doubled_cycle
-from oracles import brute_union_rank, dual_rank_via_bases, subgraph_rank
+from oracles import brute_flats, brute_union_rank, dual_rank_via_bases, subgraph_rank
 
 
 def powerset(items):
@@ -71,11 +71,12 @@ def edge_set(mask):
 
 def cycle_flats(g):
     """Flats of the cycle matroid as edge-id sets, in increasing bitmask
-    order, from the flat_masks scan over the cycle rank on bitmasks."""
-    return [
-        edge_set(mask)
-        for mask in flat_masks(g.edge_count, lambda mask: cycle_rank(g, edge_set(mask)))
-    ]
+    order, from the flat_masks scan over the table of cycle ranks."""
+    return [edge_set(mask) for mask in flat_masks(g.edge_count, cycle_rank_table(g))]
+
+
+def cycle_rank_table(g):
+    return bytes(cycle_rank(g, edge_set(mask)) for mask in range(1 << g.edge_count))
 
 
 def test_flats_of_triangle():
@@ -286,9 +287,9 @@ def test_union_rank_table_matches_augmenting_on_corpus(multigraph_corpus):
 
 @pytest.mark.parametrize("piece", [1, 2, 8])
 def test_union_rank_table_cut_into_small_pieces(monkeypatch, multigraph_corpus, piece):
-    # tables up to 14 edges take each transform step in one slice pair; a
-    # small piece runs the path that cuts the steps of larger tables
-    monkeypatch.setattr(matroid, "_TRANSFORM_PIECE", piece)
+    # tables up to 13 edges fit one piece of lanes; a piece of 1, 2 or 8
+    # lanes runs the step that pairs whole pieces, as tables past 13 edges do
+    monkeypatch.setattr(matroid, "_LANE_PIECE", piece)
     graphs = [g for g in multigraph_corpus if 8 <= g.edge_count <= 10][:8]
     assert len(graphs) == 8
     for g in graphs:
@@ -309,6 +310,40 @@ def small_multigraphs(draw):
 @given(small_multigraphs(), st.integers(0, 3))
 def test_union_rank_table_matches_augmenting_on_multigraphs(g, k):
     _assert_table_matches_augmenting(g, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_multigraphs())
+def test_flat_masks_on_rank_tables(g):
+    m = g.edge_count
+    flats = brute_flats(lambda x: subgraph_rank(g, x), g.full_edge_set())
+    expected = sorted(sum(1 << e for e in flat) for flat in flats)
+    assert flat_masks(m, cycle_rank_table(g)) == expected
+    # the dual of the k-fold union, against the definition mask by mask
+    full = (1 << m) - 1
+    for k in (1, 2):
+        table = union_rank_table(g, k)
+        dual = [mask.bit_count() + table[full ^ mask] - table[full] for mask in range(full + 1)]
+        expected = [
+            mask
+            for mask in range(full + 1)
+            if all(dual[mask | 1 << e] == dual[mask] + 1 for e in range(m) if not mask >> e & 1)
+        ]
+        assert flat_masks(m, bytes(dual)) == expected
+
+
+def test_union_rank_table_lanes_past_one_byte(multigraph_corpus):
+    # k * r(T) runs far past one byte lane at k = 40 and 300; the table
+    # clamps it to m + 1 before the transform, which must not change a rank
+    graphs = [Graph(0, ()), Graph(1, ((0, 0),))]
+    graphs += [g for g in multigraph_corpus if g.edge_count <= 6]
+    assert len(graphs) > 20
+    for g in graphs:
+        for k in (0, 1, 7, 40, 300):
+            table = union_rank_table(g, k)
+            for mask, got in enumerate(table):
+                subset = [e for e in range(g.edge_count) if mask >> e & 1]
+                assert got == brute_union_rank(g, k, subset), (g.endpoints, k, subset)
 
 
 def test_union_rank_table_hard_cap():
