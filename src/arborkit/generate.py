@@ -13,18 +13,43 @@ The stream is splitmix64 so instances are portable: state advances by the
 z ^= z >> 30, z *= 0xBF58476D1CE4E5B9, z ^= z >> 27,
 z *= 0x94D049BB133111EB, z ^= z >> 31 (all mod 2^64). Bounded draws use
 rejection on the top of the 64-bit range, so they are exactly uniform.
+
+generate() reads the stream a block at a time (SplitMix64.next_block). The
+state is an arithmetic progression mod 2^64, so output i of a block is the
+finalizer of state + G (i + 1), G = 0x9E3779B97F4A7C15: one Python int
+holds all of them in 128-bit lanes, and the finalizer runs lane-wise. A
+64-bit lane times a 64-bit constant fits its 128-bit lane, and a mask back
+to the low 64 bits of each lane after each xor-shift and product leaves
+exactly the mod 2^64 value (only the low halves are read), so a block
+equals the outputs of next_u64 one at a time. Each draw reads its outputs
+from the buffer and skips one at or above its position's bias limit just
+as below() does, so every graph and attempt count is the one the scalar
+stream gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import lt, mod
 
 from .arboricity import _density_limits, _peeling_exceeds, fractional_arboricity_at_most
 from .graphs import Graph
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_FIRST_BLOCK = 64  # outputs in generate()'s first block; each refill doubles it
+_BLOCK_CAP = 2048  # the largest refill
+
+
+@lru_cache(maxsize=16)
+def _block_lanes(count: int) -> tuple[int, int, int]:
+    """A count-output block's constants, one 128-bit lane per output: 1 in
+    every lane, 2^64 - 1 in every lane, and G (i + 1) mod 2^64 in lane i."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
+    steps = b"".join((_GOLDEN * i & _MASK64).to_bytes(16, "little") for i in range(1, count + 1))
+    return ones, ones * _MASK64, int.from_bytes(steps, "little")
 
 
 class SplitMix64:
@@ -38,6 +63,20 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
+
+    def next_block(self, count: int) -> list[int]:
+        """The next count outputs of next_u64, computed on 128-bit lanes."""
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        ones, mask, steps = _block_lanes(count)
+        z = (self.state * ones + steps) & mask
+        z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+        # no mask: the last shift moves bits of lane i + 1 only into the
+        # high half of lane i, which the read below drops
+        z ^= z >> 31
+        self.state = (self.state + count * _GOLDEN) & _MASK64
+        return memoryview(z.to_bytes(16 * count, "little")).cast("Q")[::2].tolist()
 
     def below(self, bound: int) -> int:
         """Uniform draw from [0, bound), bias-free."""
@@ -87,31 +126,46 @@ class GenerationError(RuntimeError):
         )
 
 
-def _draw_simple(rng: SplitMix64, pairs: list[tuple[int, int]], m: int) -> list[tuple[int, int]]:
-    # partial Fisher-Yates over a copy of the pair table, SplitMix64.below inlined
-    pool = pairs[:]
-    total = len(pool)
-    state = rng.state
-    for i in range(m):
-        limit = (1 << 64) - (1 << 64) % (total - i)
+def _below_each(
+    rng: SplitMix64, buf: list[int], pos: int, limits: list[int], spans: list[int]
+) -> tuple[list[int], int]:
+    """A uniform value below each span, read from buf at pos on, and the
+    next read position. An output at or above its span's limit is skipped
+    as SplitMix64.below skips it. A spent buf is refilled in place from rng,
+    with a block twice its size: _FIRST_BLOCK outputs first, _BLOCK_CAP at most."""
+    end = pos + len(spans)
+    outputs = buf[pos:end]
+    if len(outputs) == len(spans) and all(map(lt, outputs, limits)):
+        return list(map(mod, outputs, spans)), end
+    values = []
+    for limit, span in zip(limits, spans):
         while True:
-            state = (state + _GOLDEN) & _MASK64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            z ^= z >> 31
+            if pos == len(buf):
+                buf[:] = rng.next_block(min(max(2 * len(buf), _FIRST_BLOCK), _BLOCK_CAP))
+                pos = 0
+            z = buf[pos]
+            pos += 1
             if z < limit:
                 break
-        j = i + z % (total - i)
+        values.append(z % span)
+    return values, pos
+
+
+def _draw_simple(values: list[int], pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    # partial Fisher-Yates over a copy of the pair table: value i picks a
+    # position among the len(pairs) - i not yet taken
+    pool = pairs[:]
+    for i, r in enumerate(values):
+        j = i + r
         pool[i], pool[j] = pool[j], pool[i]
-    rng.state = state
-    return pool[:m]
+    return pool[:len(values)]
 
 
-def _draw_multi(rng: SplitMix64, n: int, m: int) -> list[tuple[int, int]]:
+def _draw_multi(values: list[int]) -> list[tuple[int, int]]:
+    # values alternate below n and below n - 1: an endpoint, then the other
     out = []
-    for _ in range(m):
-        u = rng.below(n)
-        v = rng.below(n - 1)
+    ends = iter(values)
+    for u, v in zip(ends, ends):
         if v >= u:
             v += 1
         out.append((u, v) if u < v else (v, u))
@@ -128,11 +182,16 @@ def generate(spec: GenSpec) -> Graph:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if not spec.allow_parallel and m > len(pairs):
         raise ValueError(f"{m} edges do not fit in a simple graph on {n} vertices")
+    spans = [n, n - 1] * m if spec.allow_parallel else list(range(len(pairs), len(pairs) - m, -1))
+    limits = [(1 << 64) - (1 << 64) % s for s in spans]
     rng = SplitMix64(spec.seed)
-    limit = _density_limits(n, *spec.target_bound.as_integer_ratio())
+    buf: list[int] = []
+    pos = 0
+    density = _density_limits(n, *spec.target_bound.as_integer_ratio())
     for _ in range(spec.max_rejections):
-        edges = _draw_multi(rng, n, m) if spec.allow_parallel else _draw_simple(rng, pairs, m)
-        if not _peeling_exceeds(n, edges, limit):
+        values, pos = _below_each(rng, buf, pos, limits, spans)
+        edges = _draw_multi(values) if spec.allow_parallel else _draw_simple(values, pairs)
+        if not _peeling_exceeds(n, edges, density):
             graph = Graph(n, tuple(sorted(edges)))
             if fractional_arboricity_at_most(graph, spec.target_bound):
                 return graph

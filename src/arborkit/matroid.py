@@ -398,10 +398,15 @@ def flat_masks(size: int, ranks: bytes) -> list[int]:
     for e in range(size):
         shift = 8 << e
         bad |= ((table >> shift) ^ raised) & _bit_lanes(count, e) >> shift
-    lanes = bad.to_bytes(count, "little")
-    flats = []
-    mask = lanes.find(0)
-    while mask >= 0:
-        flats.append(mask)
-        mask = lanes.find(0, mask + 1)
-    return flats
+    return _zero_lanes(bad, count)
+
+
+def _zero_lanes(lanes: int, count: int) -> list[int]:
+    """The indices of the zero lanes among count byte lanes, in increasing order."""
+    table = lanes.to_bytes(count, "little")
+    out = []
+    at = table.find(0)
+    while at >= 0:
+        out.append(at)
+        at = table.find(0, at + 1)
+    return out

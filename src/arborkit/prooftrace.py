@@ -18,7 +18,7 @@ from .arboricity import fractional_arboricity_at_most
 from .domination import _edge_domination_core
 from .graphs import Graph, edge_induced_subgraph, line_graph
 from .limits import PROOFTRACE_DEFAULT, check_gate
-from .matroid import _bit_lanes, _bits, flat_masks, union_rank_table
+from .matroid import _bit_lanes, _bits, _zero_lanes, flat_masks, union_rank_table
 from .rationals import Infinite, format_value, is_infinite
 
 VERDICT_PASS = "PASS"
@@ -29,35 +29,26 @@ _PLUS_ONE = bytes(range(1, 256)) + b"\0"  # bytes.translate table for b + 1
 
 
 def _matching_masks(graph: Graph) -> list[int]:
-    m = graph.edge_count
-    loops = 0
-    conflict = [0] * m
-    for e in range(m):
-        u, v = graph.endpoints[e]
+    """Bitmasks of all matchings, in increasing order. On byte lanes: lane X
+    of bad is nonzero when X holds a loop, or two edges at one vertex (the
+    second is met while the lanes of the vertex's earlier edges are OR'd in
+    seen); the matchings are its zero lanes."""
+    count = 1 << graph.edge_count
+    bad = 0
+    at: list[list[int]] = [[] for _ in range(graph.vertex_count)]
+    for e, (u, v) in enumerate(graph.endpoints):
         if u == v:
-            loops |= 1 << e
-            continue
-        for f in range(m):
-            if f == e:
-                continue
-            x, y = graph.endpoints[f]
-            if u in (x, y) or v in (x, y):
-                conflict[e] |= 1 << f
-    out = []
-    for mask in range(1 << m):
-        if mask & loops:
-            continue
-        rest = mask
-        ok = True
-        while rest:
-            low = rest & -rest
-            if mask & conflict[low.bit_length() - 1]:
-                ok = False
-                break
-            rest ^= low
-        if ok:
-            out.append(mask)
-    return out
+            bad |= _bit_lanes(count, e)
+        else:
+            at[u].append(e)
+            at[v].append(e)
+    for edges in at:
+        seen = 0
+        for e in edges:
+            lane = _bit_lanes(count, e)
+            bad |= seen & lane
+            seen |= lane
+    return _zero_lanes(bad, count)
 
 
 def _size_lanes(m: int) -> bytes:

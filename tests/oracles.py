@@ -288,6 +288,23 @@ def brute_arboricity(graph):
     return k
 
 
+def splitmix64_unmix(out):
+    """The state whose splitmix64 finalizer gives out: each xor-shift is
+    undone by re-applying it until every bit is fixed, each product by the
+    inverse of its odd constant mod 2^64."""
+    mask = (1 << 64) - 1
+
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(out, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & mask, 27)
+    return unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask, 30)
+
+
 def reference_sample(n, bound, seed, max_rejections, allow_parallel=False):
     """The generator's rejection sampler, step by step: every draw calls
     SplitMix64.below, sorts its pairs into a Graph and asks the threshold

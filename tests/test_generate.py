@@ -14,7 +14,11 @@ from arborkit import (
     fractional_arboricity_at_most,
     generate,
 )
-from oracles import brute_frac_arboricity, reference_sample
+from arborkit.generate import _FIRST_BLOCK
+from oracles import brute_frac_arboricity, reference_sample, splitmix64_unmix
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
 def test_splitmix64_reference_vectors():
@@ -24,6 +28,22 @@ def test_splitmix64_reference_vectors():
     assert rng.next_u64() == 0x6E789E6AA1B965F4
     assert rng.next_u64() == 0x06C45D188009454F
     assert SplitMix64(0x123456789ABCDEF).next_u64() == 0x157A3807A48FAA9D
+
+
+@pytest.mark.parametrize("seed", [0, _MASK64, -3 * _GOLDEN & _MASK64])
+def test_next_block_matches_next_u64(seed):
+    # the last seed's state passes 0 at its third output, inside every block
+    blocks, scalar = SplitMix64(seed), SplitMix64(seed)
+    for count in (0, 1, 2, 3, 4, 8, 16, 64, 128, 256):
+        assert blocks.next_block(count) == [scalar.next_u64() for _ in range(count)]
+        assert blocks.state == scalar.state
+    with pytest.raises(ValueError):
+        blocks.next_block(-1)
+
+
+def test_splitmix64_unmix_inverts_the_finalizer():
+    for out in (0, 1, _MASK64, 0xE220A8397B1DCDAF):
+        assert SplitMix64(splitmix64_unmix(out) - _GOLDEN).next_u64() == out
 
 
 def test_splitmix64_below():
@@ -183,3 +203,33 @@ def test_parallel_generator_matches_reference_sampler():
     for n in (2, 5, 9):
         for seed in range(30):
             _assert_matches_reference(n, Fraction(17, 8), seed, budget=60, allow_parallel=True)
+
+
+def _seed_with_top_output(position):
+    """A seed whose output at this position is 2^64 - 1, which every draw
+    below a bound that does not divide 2^64 skips."""
+    seed = splitmix64_unmix(_MASK64) - (position + 1) * _GOLDEN & _MASK64
+    rng = SplitMix64(seed)
+    assert [rng.next_u64() for _ in range(position + 1)][-1] == _MASK64
+    return seed
+
+
+# (n, bound, allow_parallel): 15 pairs on 6 vertices and below(5) skip
+# 2^64 - 1, as 2^64 mod 15 = 2^64 mod 5 = 1; below(4) keeps it, so multigraph
+# draws on 5 vertices skip it only at an endpoint's first output, and those
+# on 6 vertices (below 6, then below 5) skip it at either. Each bound accepts
+# few draws, so the sampler reads past the end of the first two blocks.
+BIAS_SHAPES = ((6, Fraction(6, 5), False), (5, Fraction(5, 4), True), (6, Fraction(8, 5), True))
+
+
+@pytest.mark.parametrize("n, bound, allow_parallel", BIAS_SHAPES)
+@pytest.mark.parametrize("position", [0, _FIRST_BLOCK - 1, 3 * _FIRST_BLOCK - 1])
+def test_generator_skips_biased_outputs_like_below(n, bound, allow_parallel, position):
+    # the chance of a skipped output is below 2^-57, so no ordinary seed
+    # reaches this path: the seed puts one at the first output, at the last
+    # of the first block and at the last of the second
+    seed = _seed_with_top_output(position)
+    expected, attempts = reference_sample(n, bound, seed, 60, allow_parallel)
+    per_draw = int(bound * (n - 1)) * (2 if allow_parallel else 1)
+    assert attempts * per_draw > position  # the sampler read that output
+    _assert_matches_reference(n, bound, seed, budget=60, allow_parallel=allow_parallel)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arborkit import (
     DeskScaleExceeded,
@@ -6,9 +7,9 @@ from arborkit import (
     run_prooftrace,
     union_rank_table,
 )
-from arborkit.prooftrace import VERDICT_INCONCLUSIVE, VERDICT_PASS
+from arborkit.prooftrace import VERDICT_INCONCLUSIVE, VERDICT_PASS, _matching_masks
 from helpers import complete_graph, cycle, doubled_cycle, path
-from oracles import brute_flats, brute_union_rank, dual_rank_via_bases
+from oracles import all_matchings, brute_flats, brute_union_rank, dual_rank_via_bases
 
 
 def dual_union_rank(g, k, subset):
@@ -100,6 +101,21 @@ def test_check_link_frozen():
     assert run_prooftrace(complete_graph(4), 1).link_ok
     assert run_prooftrace(complete_graph(4), 2).link_ok
     assert run_prooftrace(Graph(3, ()), 1).link_ok
+
+
+@st.composite
+def multigraphs_with_loops(draw):
+    """Up to 6 vertices and 10 edges, loops and parallel edges allowed."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    return Graph(n, tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=10))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs_with_loops())
+def test_matching_masks_match_the_definition(g):
+    expected = sorted(sum(1 << e for e in match) for match in all_matchings(g))
+    assert _matching_masks(g) == expected
 
 
 def test_check_basic_observation_frozen():
