@@ -206,8 +206,8 @@ def cmd_verify(args) -> int:
         remainder = graph.full_edge_set() - covered
     kind = doc.get("kind", "matching")
     d = args.d if args.d is not None else doc.get("d")
-    if kind != "matching" and d is not None and d < 1:
-        raise ValueError("d must be a positive integer")
+    if kind != "matching" and (d is None or d < 1):
+        raise ValueError("a forest or graph remainder needs a degree bound d >= 1")
     dec = Decomposition(forests=forests, remainder=remainder, kind=kind, degree_bound=d)
     ok, reason = verify_decomposition(graph, dec, args.k, d)
     if ok:

@@ -22,12 +22,12 @@ one-forest _ForestPartition, whose forest path between the endpoints of an
 edge says whether the edge would close a cycle. union_rank_table does not
 augment per subset: it evaluates the union formula r_k(X) = min over T of
 |X - T| + k * r(T) (Nash-Williams 1966; Edmonds 1968) for every X at once,
-from a cycle-rank table and a subset-min transform, and checks the full set
-against the augmenting search. Flats come from one scan of a rank table,
-flat_masks. The brute-force evaluation of the formula, one X at a time,
-lives with the test oracles.
+from a cycle-rank table built edge by edge and a subset-min transform, and
+checks the full set against the augmenting search. Flats come from one
+scan of a rank table, flat_masks. The brute-force evaluation of the
+formula, one X at a time, lives with the test oracles.
 
-Both run on byte lanes: a table over the subsets of m elements is 2^m bytes,
+All run on byte lanes: a table over the subsets of m elements is 2^m bytes,
 the value for bitmask X in byte X, read as one Python int with byte X in
 bits 8X..8X+7. The byteorder is always passed as "little", since Python 3.10
 has no default for it. A step over one element bit is then a few big-int
@@ -282,60 +282,60 @@ def _lane_min(s: int, cand: int, guard: int) -> int:
     return s ^ ((s ^ cand) & (take >> 7) * 0xFF)
 
 
-def union_rank_table(graph: Graph, k: int) -> list[int]:
+def _cycle_rank_lanes(graph: Graph) -> bytes:
+    """The cycle rank r(T) in byte T for every edge subset T.
+
+    Edge e doubles the table over the subsets of the edges before it:
+    r(T + e) = r(T) + 1 - J(T), where J(T) is 1 when T joins e's endpoints
+    u and v (always, for a loop). reach[x] holds 0xff in lane T when T joins
+    u to x: from reach[u] all 0xff, each earlier edge f sets both endpoints
+    in the lanes that hold f and reach just one of them, until a round over
+    the edges sets nothing. Those lanes are rebuilt per use, not kept per
+    edge, for peak memory.
+    """
+    endpoints = graph.endpoints
+    ranks = 0
+    for e, (u, v) in enumerate(endpoints):
+        count = 1 << e
+        ones = int.from_bytes(b"\x01" * count, "little")
+        reach = [0] * graph.vertex_count
+        reach[u] = ones * 0xFF
+        changed = True
+        while changed:
+            changed = False
+            for f in range(e):
+                a, b = endpoints[f]
+                diff = reach[a] ^ reach[b]  # 0 for a loop, or nothing to spread
+                if diff:
+                    diff &= _bit_lanes(count, f)
+                    if diff:
+                        reach[a] |= diff
+                        reach[b] |= diff
+                        changed = True
+        ranks |= (ranks + ones - (reach[v] & ones)) << 8 * count
+    return ranks.to_bytes(1 << len(endpoints), "little")
+
+
+def union_rank_table(graph: Graph, k: int) -> bytes:
     """union_rank for every subset, indexed by edge bitmask.
 
     By the matroid union theorem (Nash-Williams 1966; Edmonds 1968)
     r_k(X) = min over T subset of X of |X - T| + k * r(T), with r the cycle
-    rank. A depth-first walk of the subset tree (the parent of a mask is the
-    mask without its lowest edge) with a union-find that rolls back writes
-    r(T) into a bytearray, byte T: an edge raises the rank exactly when it
-    joins two components (a loop never does). One bytes.translate turns r
-    into min(k * r, m + 1); a clamped entry never wins the min, since
+    rank, from _cycle_rank_lanes. One bytes.translate turns r into
+    min(k * r, m + 1); a clamped entry never wins the min, since
     r_k(X) <= |X| <= m. The subset-min transform (Yates 1937) then sets
     s[X] = min(s[X], s[X - bit] + 1) for each bit over every X holding it,
     on byte lanes (see _lane_min), in pieces of _LANE_PIECE lanes: a bit
     below the piece width shifts lanes inside each piece, a higher bit pairs
-    whole pieces. The bytes are then r_k. The full set is checked against
-    the augmenting union_rank.
+    whole pieces. The bytes, one per subset, are then r_k. The full set is
+    checked against the augmenting union_rank.
     """
     m = graph.edge_count
     if m > UNION_TABLE_HARD_CAP:
         raise DeskScaleExceeded(f"union_rank_table needs |E| <= {UNION_TABLE_HARD_CAP}, got {m}")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    endpoints = graph.endpoints
-    ranks = bytearray(1 << m)
-    # union by size without path compression, so a union is undone by
-    # resetting one parent pointer and one size
-    up = list(range(graph.vertex_count))
-    size = [1] * graph.vertex_count
-
-    def walk(mask: int, below: int, value: int) -> None:
-        for e in range(below):
-            u, v = endpoints[e]
-            while up[u] != u:
-                u = up[u]
-            while up[v] != v:
-                v = up[v]
-            child = mask | 1 << e
-            if u == v:
-                ranks[child] = value
-                if e:
-                    walk(child, e, value)
-                continue
-            if size[u] < size[v]:
-                u, v = v, u
-            up[v] = u
-            size[u] += size[v]
-            ranks[child] = value + 1
-            if e:
-                walk(child, e, value + 1)
-            up[v] = v
-            size[u] -= size[v]
-
-    walk(0, m, 0)
-
+    ranks = _cycle_rank_lanes(graph)
     clamp = bytes(min(k * r, m + 1) for r in range(256))
     width = min(len(ranks), _LANE_PIECE)
     ones = int.from_bytes(b"\x01" * width, "little")
@@ -354,10 +354,7 @@ def union_rank_table(graph: Graph, k: int) -> list[int]:
         for j in range(step, len(pieces)):
             if j & step:
                 pieces[j] = _lane_min(pieces[j], pieces[j - step] + ones, high)
-    for j, piece in enumerate(pieces):
-        ranks[j * width:(j + 1) * width] = piece.to_bytes(width, "little")
-    del pieces  # before the 2^m-entry list is built, for peak memory at m = 20
-    table = list(ranks)
+    table = b"".join(piece.to_bytes(width, "little") for piece in pieces)
 
     full = (1 << m) - 1
     if table[full] != union_rank(graph, k, range(m)):
@@ -369,6 +366,8 @@ def dual_rank(base: RankOracle, subset: Iterable[int]) -> int:
     """|X| + r(E - X) - r(E) for the base matroid's rank function r."""
     ground = base.ground_set()
     key = frozenset(subset)
+    if not key <= ground:
+        raise ValueError(f"element {next(iter(key - ground))!r} outside ground set")
     return len(key) + base.rank(ground - key) - base.rank(ground)
 
 

@@ -198,7 +198,7 @@ def run_prooftrace(graph: Graph, k: int) -> ProofTraceReport:
     if k < 1:
         raise ValueError("k must be a positive integer")
     check_gate(graph.edge_count, PROOFTRACE_DEFAULT, "run_prooftrace")
-    table = bytes(union_rank_table(graph, k))
+    table = union_rank_table(graph, k)
     sizes = _size_lanes(graph.edge_count)
     records = tuple(_flat_records(graph, k, table, sizes))
     link_ok = _link_agrees(graph, table)

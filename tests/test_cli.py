@@ -159,6 +159,7 @@ def test_verify_malformed_document_is_usage_error(graph_file, tmp_path, capsys, 
     ({"forests": [[0, 1]], "remainder": [2], "kind": "graph", "d": 2}, ["--k", "1", "--d", "0"]),
     ({"forests": [[0, 1]], "remainder": [2], "kind": "forest", "d": 0}, ["--k", "1"]),
     ({"forests": [[0, 1]], "remainder": [2], "kind": "graph", "d": -1}, ["--k", "1"]),
+    ({"forests": [[0, 1]], "remainder": [2], "kind": "forest"}, ["--k", "1"]),
 ])
 def test_verify_bad_k_or_d_is_usage_error(graph_file, tmp_path, capsys, doc, flags):
     f = graph_file("tri.txt", cycle(3))

@@ -352,6 +352,26 @@ def test_union_rank_table_hard_cap():
         union_rank_table(g, 1)
 
 
+def test_union_rank_table_at_the_hard_cap():
+    # the largest table the cap admits: 20 edges of K8 at k = 2, about 0.6 s
+    # with the checks
+    g = Graph(8, complete_graph(8).endpoints[:20])
+    table = union_rank_table(g, 2)
+    assert type(table) is bytes
+    assert len(table) == 1 << 20
+    full = (1 << 20) - 1
+    assert table[full] == union_rank(g, 2, range(20)) == 14
+    sample = {x * 2654435761 % (1 << 20) for x in range(1, 97)} | {0, 0b111, 1 << 19}
+    checked = 0
+    for mask in sorted(sample):
+        subset = [e for e in range(20) if mask >> e & 1]
+        assert table[mask] == union_rank(g, 2, subset), subset
+        if len(subset) <= 10:
+            assert table[mask] == brute_union_rank(g, 2, subset), subset
+            checked += 1
+    assert checked > 30
+
+
 def test_dual_rank_against_basis_formula():
     for g in (complete_graph(4), cycle(3), Graph(2, ((0, 1), (0, 1)))):
         oracle = cycle_matroid(g)
@@ -359,6 +379,13 @@ def test_dual_rank_against_basis_formula():
         for subset in powerset(ground):
             expect = dual_rank_via_bases(oracle.rank, ground, subset)
             assert dual_rank(oracle, subset) == expect
+
+
+def test_dual_rank_refuses_elements_outside_ground_set():
+    oracle = cycle_matroid(cycle(3))
+    for subset in ({5}, {-1, 0}, {3}, {0, 1, 2, 3}):
+        with pytest.raises(ValueError, match="outside ground set"):
+            dual_rank(oracle, subset)
 
 
 def test_dual_of_dual_is_original():
