@@ -227,16 +227,17 @@ def _peeling_exceeds(
     Parallel edges count with multiplicity. Each set is checked exactly, so
     with density limits a set proves gamma_f > p / q; None decides nothing.
     """
-    adj: list[list[int]] = [[] for _ in range(n)]
+    deg = [0] * n
     for u, v in endpoints:
-        adj[u].append(v)
-        adj[v].append(u)
-    deg = list(map(len, adj))
+        deg[u] += 1
+        deg[v] += 1
     inside = len(endpoints)
     # a live degree is at most |E|; a peeled vertex starts at 2 |E| + 1 and
     # loses at most its degree afterwards, so it stays above every live one
     gone = 2 * inside + 1
     found = None
+    adj = None
+    low = -1
     for size in range(n, 1, -1):
         if inside > limit[size]:
             if members:
@@ -245,11 +246,20 @@ def _peeling_exceeds(
             if not densest:
                 return found
             limit = _density_limits(n, *found)
+        # the last peeled vertex's neighbours lose their degree only after
+        # the size check, so a chain that ends at its first peeled set never
+        # builds adj
+        if low >= 0:
+            if adj is None:
+                adj = [[] for _ in range(n)]
+                for u, v in endpoints:
+                    adj[u].append(v)
+                    adj[v].append(u)
+            for w in adj[low]:
+                deg[w] -= 1
         low = deg.index(min(deg))
         inside -= deg[low]
         deg[low] = gone
-        for w in adj[low]:
-            deg[w] -= 1
     return found
 
 

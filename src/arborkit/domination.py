@@ -64,25 +64,32 @@ def dominates(graph: Graph, edges) -> bool:
     return got == (1 << graph.vertex_count) - 1
 
 
-def _edge_domination_core(graph: Graph):
-    n, m = graph.vertex_count, graph.edge_count
-    if n == 0:
+def _edge_domination_core(covers: list[int], dom: list[int], want: int, edges):
+    """Fewest of the candidate edges whose covers take in every vertex of the
+    mask want, as (size, sorted witness), or (INFINITE, None).
+
+    dom[v] holds only candidate edges, and edges lists the candidates in
+    increasing order. Every tie (greedy, packing, branching) goes by the
+    order of the ids, so a search on a restriction of a graph to some of its
+    vertices and edges sees the same order as one on the restriction
+    relabelled in increasing order.
+    """
+    if not want:
         return 0, ()
-    covers, dom = _coverage(graph)
-    if any(d == 0 for d in dom):
+    verts = [v for v in range(want.bit_length()) if want >> v & 1]
+    if any(dom[v] == 0 for v in verts):
         return INFINITE, None
-    full = (1 << n) - 1
 
     greedy: list[int] = []
-    undom = full
+    undom = want
     while undom:
-        e = max(range(m), key=lambda i: ((covers[i] & undom).bit_count(), -i))
+        e = max(edges, key=lambda i: ((covers[i] & undom).bit_count(), -i))
         greedy.append(e)
         undom &= ~covers[e]
     best_size = len(greedy)
     best_wit = tuple(sorted(greedy))
 
-    packing_order = sorted(range(n), key=lambda v: dom[v].bit_count())
+    packing_order = sorted(verts, key=lambda v: dom[v].bit_count())
 
     def lower_bound(undom: int) -> int:
         # vertices whose candidate edges are pairwise disjoint each
@@ -107,7 +114,7 @@ def _edge_domination_core(graph: Graph):
         if len(chosen) + lower_bound(undom) >= best_size:
             return
         pick = -1
-        fewest = m + 1
+        fewest = len(covers) + 1
         rest = undom
         while rest:
             low = rest & -rest
@@ -129,14 +136,16 @@ def _edge_domination_core(graph: Graph):
             search(undom & ~covers[e])
             chosen.pop()
 
-    search(full)
+    search(want)
     return best_size, best_wit
 
 
 def edge_domination(graph: Graph) -> DominationResult:
     """Minimum dominating edge set, exact branch and bound."""
     check_gate(graph.edge_count, DOMINATION_DEFAULT, "edge_domination")
-    value, witness = _edge_domination_core(graph)
+    covers, dom = _coverage(graph)
+    full = (1 << graph.vertex_count) - 1
+    value, witness = _edge_domination_core(covers, dom, full, graph.edge_ids())
     if is_infinite(value):
         return DominationResult(INFINITE, None)
     if not dominates(graph, witness):
@@ -163,7 +172,9 @@ def two_path_domination(graph: Graph) -> DominationResult:
     """
     check_gate(graph.edge_count, DOMINATION_DEFAULT, "two_path_domination")
     lg = line_graph(graph)
-    value, witness = _edge_domination_core(lg)
+    covers, dom = _coverage(lg)
+    full = (1 << lg.vertex_count) - 1
+    value, witness = _edge_domination_core(covers, dom, full, lg.edge_ids())
     if is_infinite(value):
         return DominationResult(INFINITE, None, None)
     if not dominates(lg, witness):

@@ -7,6 +7,12 @@ per-flat domination condition with the 2-path number standing in as a
 certified lower bound. A report can say FAIL only for unconditional facts;
 when the domination bound is merely too weak to certify a flat, the verdict
 is INCONCLUSIVE.
+
+The tables over all 2^m edge subsets live on byte lanes, one byte per
+subset. The per-flat checks run on masks of one parent line graph: the
+line graph of the subgraph on a complement X is L(G) restricted to X, so
+each flat takes its degrees from per-vertex edge masks and its 2-path
+search from L(G)'s coverage cut down to X, with no subgraph built.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arboricity import fractional_arboricity_at_most
-from .domination import _edge_domination_core
-from .graphs import Graph, edge_induced_subgraph, line_graph
+from .domination import _coverage, _edge_domination_core
+from .graphs import Graph, line_graph
 from .limits import PROOFTRACE_DEFAULT, check_gate
 from .matroid import _bit_lanes, _bits, _zero_lanes, flat_masks, union_rank_table
 from .rationals import Infinite, format_value, is_infinite
@@ -137,16 +143,35 @@ def _flat_records(graph: Graph, k: int, table: bytes, sizes: bytes) -> list[Flat
         int.from_bytes(sizes, "little") + int.from_bytes(table[::-1], "little")
         - ur_full * int.from_bytes(b"\x01" * count, "little")
     )
+    # L(G[X]) is L(G) restricted to X with its ids in the same order, so one
+    # line graph serves every flat and each search ties as on L(G[X]) itself
+    lg = line_graph(graph)
+    covers, dom = _coverage(lg)
+    all_line = (1 << lg.edge_count) - 1
+    touching = [0] * m  # line edges at each edge of G
+    for i, (a, b) in enumerate(lg.endpoints):
+        touching[a] |= 1 << i
+        touching[b] |= 1 << i
+    at = [0] * graph.vertex_count  # edges at each vertex
+    loops = [0] * graph.vertex_count  # a loop counts twice in a degree
+    for e, (u, v) in enumerate(graph.endpoints):
+        at[u] |= 1 << e
+        at[v] |= 1 << e
+        if u == v:
+            loops[u] |= 1 << e
     records = []
     for mask in flat_masks(m, dual.to_bytes(count, "little")):
         comp = full_mask ^ mask
-        x_ids = tuple(_bits(comp))
-        if not x_ids:
+        if not comp:
             records.append(FlatRecord((), None, True, 0, 0, "pass"))
             continue
-        sub = edge_induced_subgraph(graph, x_ids)
-        mind = sub.stats.min_degree
-        gp, _ = _edge_domination_core(line_graph(sub.graph))
+        degrees = [(a & comp).bit_count() + (b & comp).bit_count() for a, b in zip(at, loops)]
+        mind = min(d for d in degrees if d)
+        cand = all_line
+        for e in _bits(mask):
+            cand &= ~touching[e]
+        gp, _ = _edge_domination_core(covers, [d & cand for d in dom], comp, _bits(cand))
+        x_ids = tuple(_bits(comp))
         required = len(x_ids) - table[comp]
         ok = is_infinite(gp) or gp >= required
         records.append(

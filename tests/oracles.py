@@ -55,6 +55,33 @@ def brute_frac_arboricity(graph):
     return best
 
 
+def reference_peel(n, pairs, limit, densest=False, members=False):
+    """Min-degree peeling of a loop-free multigraph on 0..n-1, one plain step
+    at a time: every step recounts the degrees inside the live set and drops
+    the lowest vertex of least degree. The chain runs from all n vertices
+    down to two; a set S on it is over when |E(S)| > limit[|S|].
+
+    Returns the first set over as (|E(S)|, |S| - 1), or its vertex set with
+    members; with densest, the densest set over (the first on a tie), or None
+    when no set is over.
+    """
+    live = set(range(n))
+    over = []
+    while len(live) >= 2:
+        inside = [(u, v) for u, v in pairs if u in live and v in live]
+        if len(inside) > limit[len(live)]:
+            if members:
+                return frozenset(live)
+            over.append((len(inside), len(live) - 1))
+        degree = {x: sum((u == x) + (v == x) for u, v in inside) for x in live}
+        live.remove(min(live, key=lambda x: (degree[x], x)))
+    if not over:
+        return None
+    if not densest:
+        return over[0]
+    return max(over, key=lambda found: Fraction(*found))
+
+
 def brute_canonical_witness(graph):
     """(gamma_f, W) of a loop-free graph with an edge: W is the largest
     vertex set of density gamma_f, and on a tie in size the one whose

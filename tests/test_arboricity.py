@@ -29,7 +29,7 @@ from helpers import (
     petersen,
     star,
 )
-from oracles import brute_canonical_witness, brute_frac_arboricity
+from oracles import brute_canonical_witness, brute_frac_arboricity, reference_peel
 
 
 FROZEN_FRAC = [
@@ -352,6 +352,23 @@ def test_peeling_witness_is_sound_and_order_free(drawn, p, q, data):
         assert brute_frac_arboricity(Graph(n, tuple(edges))) > Fraction(p, q)
     # the generator peels its draws before sorting them
     assert _peeling_exceeds(n, data.draw(st.permutations(edges)), limit) == exceeds
+
+
+@settings(max_examples=300, deadline=None)
+@given(loop_free_pair_lists(), st.integers(1, 16), st.integers(1, 6), st.data())
+def test_peeling_matches_the_reference_peel(drawn, p, q, data):
+    n, edges = drawn
+    density = _density_limits(n, p, q)
+    assert _peeling_exceeds(n, edges, density) == reference_peel(n, edges, density)
+    assert _peeling_exceeds(n, edges, density, densest=True) == reference_peel(
+        n, edges, density, densest=True
+    )
+    # the remainder witness peels against limits that are no density
+    limit = data.draw(st.lists(st.integers(0, 14), min_size=n + 1, max_size=n + 1))
+    assert _peeling_exceeds(n, edges, limit) == reference_peel(n, edges, limit)
+    assert _peeling_exceeds(n, edges, limit, members=True) == reference_peel(
+        n, edges, limit, members=True
+    )
 
 
 @st.composite

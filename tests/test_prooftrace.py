@@ -4,12 +4,19 @@ from hypothesis import given, settings, strategies as st
 from arborkit import (
     DeskScaleExceeded,
     Graph,
+    INFINITE,
     run_prooftrace,
     union_rank_table,
 )
 from arborkit.prooftrace import VERDICT_INCONCLUSIVE, VERDICT_PASS, _matching_masks
 from helpers import complete_graph, cycle, doubled_cycle, path
-from oracles import all_matchings, brute_flats, brute_union_rank, dual_rank_via_bases
+from oracles import (
+    all_matchings,
+    brute_flats,
+    brute_two_path_domination,
+    brute_union_rank,
+    dual_rank_via_bases,
+)
 
 
 def dual_union_rank(g, k, subset):
@@ -104,11 +111,11 @@ def test_check_link_frozen():
 
 
 @st.composite
-def multigraphs_with_loops(draw):
-    """Up to 6 vertices and 10 edges, loops and parallel edges allowed."""
+def multigraphs_with_loops(draw, max_edges=10):
+    """Up to 6 vertices and max_edges edges, loops and parallel edges allowed."""
     n = draw(st.integers(1, 6))
     vertex = st.integers(0, n - 1)
-    return Graph(n, tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=10))))
+    return Graph(n, tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -116,6 +123,23 @@ def multigraphs_with_loops(draw):
 def test_matching_masks_match_the_definition(g):
     expected = sorted(sum(1 << e for e in match) for match in all_matchings(g))
     assert _matching_masks(g) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs_with_loops(max_edges=6), st.integers(1, 2))
+def test_flat_records_match_the_definitions(g, k):
+    for record in run_prooftrace(g, k).records:
+        x = record.complement
+        if not x:
+            continue
+        degree = {}
+        for e in x:
+            for end in g.endpoints[e]:  # a loop counts twice
+                degree[end] = degree.get(end, 0) + 1
+        assert record.min_degree == min(degree.values())
+        brute = brute_two_path_domination(Graph(g.vertex_count, tuple(g.endpoints[e] for e in x)))
+        assert record.gamma_p == (INFINITE if brute is None else brute[0])
+        assert record.required == len(x) - brute_union_rank(g, k, x)
 
 
 def test_check_basic_observation_frozen():
