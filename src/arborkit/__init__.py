@@ -37,8 +37,6 @@ from .graphs import (
     Graph,
     GraphFormatError,
     GraphStats,
-    InducedSubgraph,
-    edge_induced_subgraph,
     graph_stats,
     line_graph,
     parse_graph,
@@ -46,10 +44,7 @@ from .graphs import (
 )
 from .limits import ENV_MAX_EDGES, DeskScaleExceeded
 from .matroid import (
-    RankOracle,
-    cycle_matroid,
     cycle_rank,
-    dual_rank,
     matroid_partition,
     union_rank,
     union_rank_table,

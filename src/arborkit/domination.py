@@ -57,6 +57,8 @@ def _coverage(graph: Graph) -> tuple[list[int], list[int]]:
 def dominates(graph: Graph, edges) -> bool:
     """Definition check: do these edges dominate every vertex?"""
     ids = check_edge_subset(graph, edges)
+    if 0 in graph.degrees():
+        return False  # no edge reaches an isolated vertex
     covers, _ = _coverage(graph)
     got = 0
     for e in ids:
@@ -143,6 +145,10 @@ def _edge_domination_core(covers: list[int], dom: list[int], want: int, edges):
 def edge_domination(graph: Graph) -> DominationResult:
     """Minimum dominating edge set, exact branch and bound."""
     check_gate(graph.edge_count, DOMINATION_DEFAULT, "edge_domination")
+    # the gate counts edges only, and _coverage holds an n-bit mask per
+    # vertex; an isolated vertex settles the answer before it is built
+    if 0 in graph.degrees():
+        return DominationResult(INFINITE, None)
     covers, dom = _coverage(graph)
     full = (1 << graph.vertex_count) - 1
     value, witness = _edge_domination_core(covers, dom, full, graph.edge_ids())

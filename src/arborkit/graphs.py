@@ -74,20 +74,6 @@ class GraphStats:
     is_forest: bool
 
 
-@dataclass(frozen=True)
-class InducedSubgraph:
-    """Edge-induced subgraph with dense relabeling.
-
-    vertices[i] and edges[j] give the original vertex / edge id behind the
-    new index, so certificates can be mapped back.
-    """
-
-    graph: Graph
-    vertices: tuple[int, ...]
-    edges: tuple[int, ...]
-    stats: GraphStats
-
-
 def check_edge_subset(graph: Graph, subset: Iterable[int]) -> frozenset[int]:
     out = frozenset(subset)
     for e in out:
@@ -136,20 +122,6 @@ def graph_stats(graph: Graph, subset: Iterable[int]) -> GraphStats:
         min_degree=min(deg.values(), default=0),
         is_matching=all(d <= 1 for d in deg.values()),
         is_forest=forest == len(edges),
-    )
-
-
-def edge_induced_subgraph(graph: Graph, subset: Iterable[int]) -> InducedSubgraph:
-    edges = sorted(check_edge_subset(graph, subset))
-    verts = sorted({x for e in edges for x in graph.endpoints[e]})
-    index = {v: i for i, v in enumerate(verts)}
-    endpoints = tuple((index[graph.endpoints[e][0]], index[graph.endpoints[e][1]]) for e in edges)
-    sub = Graph(len(verts), endpoints)
-    return InducedSubgraph(
-        graph=sub,
-        vertices=tuple(verts),
-        edges=tuple(edges),
-        stats=graph_stats(graph, edges),
     )
 
 

@@ -20,18 +20,14 @@ class DeskScaleExceeded(ValueError):
     """Input larger than the configured exhaustive-search gate."""
 
 
-def gate(default: int) -> int:
-    raw = os.environ.get(ENV_MAX_EDGES)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENV_MAX_EDGES} must be an integer, got {raw!r}") from exc
-
-
 def check_gate(size: int, default: int, what: str) -> None:
-    limit = gate(default)
+    limit = default
+    raw = os.environ.get(ENV_MAX_EDGES)
+    if raw is not None:
+        try:
+            limit = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"{ENV_MAX_EDGES} must be an integer, got {raw!r}") from exc
     if size > limit:
         raise DeskScaleExceeded(
             f"{what}: size {size} exceeds the desk-scale limit {limit}"

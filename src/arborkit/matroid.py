@@ -1,4 +1,4 @@
-"""Cycle-matroid layer: ranks, k-fold unions, duals and flats.
+"""Cycle-matroid layer: ranks, k-fold unions and flats.
 
 The cycle matroid of a multigraph has rank n(X) - c(X) on an edge set X
 (vertices touched minus components of the edge-induced subgraph); a set is
@@ -40,7 +40,7 @@ transform stay at most m + 2 <= 22 under UNION_TABLE_HARD_CAP.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .graphs import Graph, _spanning_forest_size, check_edge_subset
 from .limits import DeskScaleExceeded, UNION_TABLE_HARD_CAP
@@ -48,37 +48,10 @@ from .limits import DeskScaleExceeded, UNION_TABLE_HARD_CAP
 _LANE_PIECE = 1 << 13  # byte lanes in one piece of union_rank_table's transform
 
 
-class RankOracle:
-    """A matroid presented by its rank function over ground set 0..size-1."""
-
-    def __init__(self, ground_set_size: int, fn: Callable[[frozenset[int]], int]):
-        self.ground_set_size = ground_set_size
-        self._fn = fn
-        self._cache: dict[frozenset[int], int] = {}
-
-    def ground_set(self) -> frozenset[int]:
-        return frozenset(range(self.ground_set_size))
-
-    def rank(self, subset: Iterable[int]) -> int:
-        key = frozenset(subset)
-        for x in key:
-            if not (0 <= x < self.ground_set_size):
-                raise ValueError(f"element {x!r} outside ground set")
-        got = self._cache.get(key)
-        if got is None:
-            got = self._fn(key)
-            self._cache[key] = got
-        return got
-
-
 def cycle_rank(graph: Graph, subset: Iterable[int]) -> int:
     """n(X) - c(X): the size of any spanning forest of the subset."""
     edges = check_edge_subset(graph, subset)
     return _spanning_forest_size(graph.endpoints[e] for e in edges)
-
-
-def cycle_matroid(graph: Graph) -> RankOracle:
-    return RankOracle(graph.edge_count, lambda X: cycle_rank(graph, X))
 
 
 class _ForestPartition:
@@ -360,15 +333,6 @@ def union_rank_table(graph: Graph, k: int) -> bytes:
     if table[full] != union_rank(graph, k, range(m)):
         raise AssertionError("internal error: union table disagrees with augmenting union_rank")
     return table
-
-
-def dual_rank(base: RankOracle, subset: Iterable[int]) -> int:
-    """|X| + r(E - X) - r(E) for the base matroid's rank function r."""
-    ground = base.ground_set()
-    key = frozenset(subset)
-    if not key <= ground:
-        raise ValueError(f"element {next(iter(key - ground))!r} outside ground set")
-    return len(key) + base.rank(ground - key) - base.rank(ground)
 
 
 def _bits(mask: int) -> list[int]:

@@ -18,8 +18,6 @@ from arborkit import (
     decompose_forests_bounded,
     decompose_forests_matching,
     derive_seed,
-    dual_rank,
-    cycle_matroid,
     fractional_arboricity,
     generate,
     graph_stats,
@@ -33,7 +31,6 @@ from arborkit import (
 from oracles import (
     brute_frac_arboricity,
     brute_two_path_domination,
-    dual_rank_via_bases,
     subgraph_rank,
 )
 
@@ -293,25 +290,6 @@ def test_criterion_09_matroid_layer_exhaustive(corpus):
                         continue
                     if ranks[mask | be | bf] - ranks[mask | bf] > re_ - r:
                         bad.append((gi, "submodularity"))
-        # dual rank against the maximize-over-bases formula
-        oracle = cycle_matroid(g)
-        rfull = ranks[size - 1]
-        base_masks = [
-            mask for mask in range(size)
-            if mask.bit_count() == rfull and ranks[mask] == rfull
-        ]
-        full_ground = frozenset(range(m))
-        for mask in range(size):
-            want = max((mask & ~b).bit_count() for b in base_masks)
-            if dual_rank(oracle, _bits_list(mask)) != want:
-                bad.append((gi, "dual rank"))
-        spot = sorted(range(size), key=lambda x: x * 2654435761 % size)[:20]
-        for mask in spot:
-            members = _bits_list(mask)
-            if dual_rank_via_bases(oracle.rank, full_ground, members) != dual_rank(
-                oracle, members
-            ):
-                bad.append((gi, "dual oracle"))
         # k-fold union: augmenting table against the min-formula
         for k in (1, 2):
             table = union_rank_table(g, k)
@@ -373,7 +351,7 @@ def test_criterion_09_matroid_layer_exhaustive(corpus):
                     bad.append((gi, "cycle circuit/flat"))
     elapsed = time.perf_counter() - start
     detail = f"{graphs} graphs, {elapsed:.1f}s, bad={bad[:4]}"
-    _report(9, "rank axioms, dual ranks, union ranks, circuit/flat exclusion",
+    _report(9, "rank axioms, union ranks, circuit/flat exclusion",
             not bad and graphs > 0 and elapsed < 300, detail)
 
 

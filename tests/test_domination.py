@@ -1,5 +1,6 @@
 """Edge domination, 2-path domination, and the connectivity chain report."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,22 @@ def test_edge_domination_isolated_vertex():
     res = edge_domination(Graph(3, ((0, 1),)))
     assert is_infinite(res.value)
     assert res.witness is None
+
+
+def test_isolated_vertex_answers_before_the_coverage_masks():
+    # the gate counts edges only; n-bit masks for every vertex would take
+    # about 25 MB here
+    g = Graph(20000, ((0, 1),))
+    tracemalloc.start()
+    try:
+        res = edge_domination(g)
+        covered = dominates(g, {0})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert is_infinite(res.value) and res.witness is None
+    assert not covered
+    assert peak < 1 << 20, peak
 
 
 def test_edge_domination_degenerate_sizes():

@@ -5,7 +5,6 @@ from arborkit import (
     Graph,
     GraphFormatError,
     cycle_rank,
-    edge_induced_subgraph,
     graph_stats,
     line_graph,
     parse_graph,
@@ -64,16 +63,6 @@ def test_subset_validation():
     g = cycle(3)
     with pytest.raises(ValueError):
         graph_stats(g, {7})
-
-
-def test_edge_induced_relabeling():
-    g = complete_graph(4)
-    sub = edge_induced_subgraph(g, {4, 5})
-    assert sub.vertices == (1, 2, 3)
-    assert sub.edges == (4, 5)
-    assert sub.graph.vertex_count == 3
-    assert sub.graph.endpoints == ((0, 2), (1, 2))
-    assert sub.stats.min_degree == 1
 
 
 def test_line_graph_frozen_cases():

@@ -8,10 +8,7 @@ from hypothesis import given, settings, strategies as st
 from arborkit import (
     DeskScaleExceeded,
     Graph,
-    RankOracle,
-    cycle_matroid,
     cycle_rank,
-    dual_rank,
     matroid_partition,
     partition_into_forests,
     union_rank,
@@ -21,7 +18,7 @@ import arborkit
 from arborkit import matroid
 from arborkit.matroid import _ForestPartition, flat_masks
 from helpers import complete_graph, cycle, doubled_cycle
-from oracles import brute_flats, brute_union_rank, dual_rank_via_bases, subgraph_rank
+from oracles import brute_flats, brute_union_rank, subgraph_rank
 
 
 def powerset(items):
@@ -48,20 +45,19 @@ def test_cycle_rank_matches_component_count_formula():
 def test_rank_axioms_exhaustive():
     # unit increase plus diminishing returns imply the full axiom set
     for g in (complete_graph(4), doubled_cycle(3), Graph(3, ((0, 0), (0, 1), (1, 2)))):
-        oracle = cycle_matroid(g)
-        ground = sorted(oracle.ground_set())
-        assert oracle.rank(()) == 0
+        ground = sorted(g.edge_ids())
+        assert cycle_rank(g, ()) == 0
         for subset in powerset(ground):
-            r = oracle.rank(subset)
+            r = cycle_rank(g, subset)
             for e in ground:
                 if e in subset:
                     continue
-                re = oracle.rank(subset | {e})
+                re = cycle_rank(g, subset | {e})
                 assert r <= re <= r + 1
                 for f in ground:
                     if f == e or f in subset:
                         continue
-                    gain_late = oracle.rank(subset | {f, e}) - oracle.rank(subset | {f})
+                    gain_late = cycle_rank(g, subset | {f, e}) - cycle_rank(g, subset | {f})
                     assert gain_late <= re - r
 
 
@@ -372,46 +368,23 @@ def test_union_rank_table_at_the_hard_cap():
     assert checked > 30
 
 
-def test_dual_rank_against_basis_formula():
-    for g in (complete_graph(4), cycle(3), Graph(2, ((0, 1), (0, 1)))):
-        oracle = cycle_matroid(g)
-        ground = oracle.ground_set()
-        for subset in powerset(ground):
-            expect = dual_rank_via_bases(oracle.rank, ground, subset)
-            assert dual_rank(oracle, subset) == expect
-
-
-def test_dual_rank_refuses_elements_outside_ground_set():
-    oracle = cycle_matroid(cycle(3))
-    for subset in ({5}, {-1, 0}, {3}, {0, 1, 2, 3}):
-        with pytest.raises(ValueError, match="outside ground set"):
-            dual_rank(oracle, subset)
-
-
-def test_dual_of_dual_is_original():
-    g = complete_graph(4)
-    oracle = cycle_matroid(g)
-    dual = RankOracle(oracle.ground_set_size, lambda X: dual_rank(oracle, X))
-    twice = RankOracle(dual.ground_set_size, lambda X: dual_rank(dual, X))
-    for subset in powerset(oracle.ground_set()):
-        assert twice.rank(subset) == oracle.rank(subset)
-
-
 def test_union_oracle_wraps_union_rank():
     g = cycle(4)
-    oracle = RankOracle(g.edge_count, lambda X: union_rank(g, 1, X))
-    assert oracle.rank(g.full_edge_set()) == 3
-    assert oracle.rank(()) == 0
+    assert union_rank(g, 1, g.full_edge_set()) == 3
+    assert union_rank(g, 1, ()) == 0
 
 
 def test_test_only_api_is_gone():
     # one matroid representation (bitmask tables and flat_masks); the
-    # frozenset oracles, circuit and basis enumerators, and the predicates
-    # that only restated graph_stats or the definitions are not public API
+    # frozenset oracles, circuit and basis enumerators, the edge-induced
+    # subgraph, the gate wrapper, and the predicates that only restated
+    # graph_stats or the definitions are not API
     removed = (
         "union_oracle", "dual_oracle", "enumerate_flats", "is_circuit", "bases",
         "FLAT_ENUM_DEFAULT", "check_subgraph_bound", "arboricity_matches_ceiling",
         "Threshold", "cover_degree_bound", "components", "is_matching", "is_forest",
+        "RankOracle", "cycle_matroid", "dual_rank", "edge_induced_subgraph",
+        "InducedSubgraph", "gate",
     )
     modules = [arborkit] + [
         importlib.import_module(f"arborkit.{info.name}")

@@ -1,3 +1,6 @@
+import time
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +12,7 @@ from arborkit import (
     union_rank_table,
 )
 from arborkit.prooftrace import VERDICT_INCONCLUSIVE, VERDICT_PASS, _matching_masks
-from helpers import complete_graph, cycle, doubled_cycle, path
+from helpers import complete_graph, cycle, doubled_cycle, path, petersen
 from oracles import (
     all_matchings,
     brute_flats,
@@ -61,6 +64,21 @@ def test_flat_records_agree_with_generic_enumeration():
 
             expected = brute_flats(dual_rank_fn, ground)
             assert from_records == expected
+
+
+def test_isolated_vertices_leave_the_records_alone():
+    # a vertex no edge touches takes no part in any flat, so the per-flat
+    # scan must not grow with the declared vertex count
+    small = Graph(10, petersen().endpoints[:14])
+    wide = Graph(200_010, small.endpoints)
+    for k in (1, 2):
+        want = run_prooftrace(small, k)
+        start = time.perf_counter()
+        got = run_prooftrace(wide, k)
+        elapsed = time.perf_counter() - start
+        assert got.vertices == 200_010
+        assert replace(got, vertices=10) == want
+        assert elapsed < 2.0, elapsed
 
 
 def test_triangle_prooftrace_frozen():
