@@ -24,6 +24,10 @@ rejects at once if one of them has q |E(S)| > p (|S| - 1), checked exactly
 in integers. Only when no peeled set is that dense does it solve min cuts,
 so acceptance is always decided by a flow. One peel loop serves the
 threshold test, the start of the density loop and the generator's draws.
+It takes the first vertex from a scan of the degrees and each later one
+from a heap of (degree, vertex) keys with lazy deletion, built with the
+adjacency lists at the first decrement. The least live entry is the lowest
+vertex of least degree, the scan's pick, and the peel takes O(n + m log n).
 Neither the density loop nor the peel walks vertices that no edge touches,
 so a sparse graph with a huge vertex count costs what its edges cost.
 
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable
 
 from .flow import MaxFlow
@@ -231,33 +236,44 @@ def _peeling_exceeds(
     for u, v in endpoints:
         deg[u] += 1
         deg[v] += 1
-    inside = len(endpoints)
+    total = inside = len(endpoints)
     # a live degree is at most |E|; a peeled vertex starts at 2 |E| + 1 and
     # loses at most its degree afterwards, so it stays above every live one
-    gone = 2 * inside + 1
+    gone = 2 * total + 1
     found = None
-    adj = None
+    adj = heap = None
     low = -1
     for size in range(n, 1, -1):
         if inside > limit[size]:
             if members:
-                return frozenset(x for x, dx in enumerate(deg) if dx <= len(endpoints))
+                return frozenset(x for x, dx in enumerate(deg) if dx <= total)
             found = (inside, size - 1)
             if not densest:
                 return found
             limit = _density_limits(n, *found)
-        # the last peeled vertex's neighbours lose their degree only after
-        # the size check, so a chain that ends at its first peeled set never
-        # builds adj
-        if low >= 0:
+        if low < 0:
+            low = deg.index(min(deg))
+        else:
+            # the last peeled vertex's neighbours lose their degree only
+            # after the size check, so a chain that ends at its first peeled
+            # set never builds adj or the heap
             if adj is None:
                 adj = [[] for _ in range(n)]
                 for u, v in endpoints:
                     adj[u].append(v)
                     adj[v].append(u)
+                # entry d n + x orders by degree d, then by vertex x
+                heap = [dx * n + x for x, dx in enumerate(deg) if dx <= total]
+                heapify(heap)
             for w in adj[low]:
                 deg[w] -= 1
-        low = deg.index(min(deg))
+                if deg[w] <= total:
+                    heappush(heap, deg[w] * n + w)
+            # an entry is stale once its vertex has a lower degree or is
+            # peeled; the least live one is the lowest vertex of least degree
+            dx, low = divmod(heappop(heap), n)
+            while deg[low] != dx:
+                dx, low = divmod(heappop(heap), n)
         inside -= deg[low]
         deg[low] = gone
     return found

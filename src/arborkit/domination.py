@@ -55,15 +55,21 @@ def _coverage(graph: Graph) -> tuple[list[int], list[int]]:
 
 
 def dominates(graph: Graph, edges) -> bool:
-    """Definition check: do these edges dominate every vertex?"""
+    """Definition check: do these edges dominate every vertex? One pass marks
+    the chosen edges' endpoints, one pass over the edges their neighbours."""
     ids = check_edge_subset(graph, edges)
-    if 0 in graph.degrees():
-        return False  # no edge reaches an isolated vertex
-    covers, _ = _coverage(graph)
-    got = 0
+    ends = graph.endpoints
+    touched = bytearray(graph.vertex_count)
     for e in ids:
-        got |= covers[e]
-    return got == (1 << graph.vertex_count) - 1
+        u, v = ends[e]
+        touched[u] = touched[v] = 1
+    seen = bytearray(touched)
+    for u, v in ends:
+        if touched[u]:
+            seen[v] = 1
+        if touched[v]:
+            seen[u] = 1
+    return seen.count(1) == graph.vertex_count
 
 
 def _edge_domination_core(covers: list[int], dom: list[int], want: int, edges):

@@ -3,10 +3,11 @@
 Rejection sampling on purpose: a constructive generator would bake the
 decomposition into the instance and make downstream success trivial. Draw
 floor(bound * (n-1)) edges uniformly, keep the graph iff the exact
-threshold test accepts it. Each draw is peeled as raw pairs, before any
-Graph is built, and rejected only on a witness set S with
-q |E(S)| > p (|S| - 1) for bound p/q; survivors become a Graph whose
-acceptance is always decided by a flow, so peeling changes no decision.
+threshold test accepts it. Each draw is checked on two vertex masks, then
+peeled as raw pairs, before any Graph is built, and rejected only on a
+witness set S with q |E(S)| > p (|S| - 1) for bound p/q; survivors become
+a Graph whose acceptance is always decided by a flow, so neither check
+changes a decision.
 
 The stream is splitmix64 so instances are portable: state advances by the
 64-bit constant 0x9E3779B97F4A7C15 and each output is the finalizer
@@ -21,18 +22,36 @@ holds all of them in 128-bit lanes, and the finalizer runs lane-wise. A
 64-bit lane times a 64-bit constant fits its 128-bit lane, and a mask back
 to the low 64 bits of each lane after each xor-shift and product leaves
 exactly the mod 2^64 value (only the low halves are read), so a block
-equals the outputs of next_u64 one at a time. Each draw reads its outputs
-from the buffer and skips one at or above its position's bias limit just
-as below() does, so every graph and attempt count is the one the scalar
-stream gives.
+equals the outputs of next_u64 one at a time.
+
+Each block becomes draw values at once. A draw reads a fixed cycle of
+bounded values: a partial Fisher-Yates shuffle of the pairs for a simple
+graph, endpoints below n and below n - 1 for a multigraph. When the block's
+max is below the least bias limit, one map of mod and add over the cycle,
+from the phase that a draw straddling the refill left, gives every value
+with the shuffle's offset i added; otherwise the block goes output by
+output and skips one at or above its position's limit as below() does. So
+every graph and attempt count is the one the scalar stream gives.
+
+Most draws never reach the peel. A draw's m edges meet the limit of the
+whole vertex set exactly, so the peel's first step, which removes a vertex
+v of least degree, leaves n - 1 vertices over their limit exactly when
+deg(v) < t = m - floor(p (n - 2) / q). Two masks over the draw's pair
+masks, the vertices touched at least once and at least twice (parallel
+edges count twice, as in the peel), reject each draw with a vertex of
+degree below min(t, 2) before the peel. A vertex of degree 0 always
+qualifies, as GenSpec asks for bound >= 1: m >= floor(p (n - 2) / q) + 1,
+so t >= 1. (At n = 2 the peel checks no one-vertex set, but there both
+vertices have degree m = t.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import lt, mod
+from functools import lru_cache, reduce
+from itertools import cycle, islice
+from operator import add, mod, or_
 
 from .arboricity import _density_limits, _peeling_exceeds, fractional_arboricity_at_most
 from .graphs import Graph
@@ -126,50 +145,54 @@ class GenerationError(RuntimeError):
         )
 
 
-def _below_each(
-    rng: SplitMix64, buf: list[int], pos: int, limits: list[int], spans: list[int]
-) -> tuple[list[int], int]:
-    """A uniform value below each span, read from buf at pos on, and the
-    next read position. An output at or above its span's limit is skipped
-    as SplitMix64.below skips it. A spent buf is refilled in place from rng,
-    with a block twice its size: _FIRST_BLOCK outputs first, _BLOCK_CAP at most."""
-    end = pos + len(spans)
-    outputs = buf[pos:end]
-    if len(outputs) == len(spans) and all(map(lt, outputs, limits)):
-        return list(map(mod, outputs, spans)), end
+def _block_values(
+    block: list[int], phase: int, spans: list[int], limits: list[int], offsets: list[int]
+) -> list[int]:
+    """The draw values a block of stream outputs gives when its first output
+    falls at position phase of the cycle of spans: output z at position k
+    becomes z mod spans[k] + offsets[k], and one at or above limits[k] is
+    skipped as SplitMix64.below skips it, taking no position."""
+    if max(block) < min(limits):  # no output of the block is skipped
+        reduced = map(mod, block, islice(cycle(spans), phase, None))
+        return list(map(add, reduced, islice(cycle(offsets), phase, None)))
     values = []
-    for limit, span in zip(limits, spans):
-        while True:
-            if pos == len(buf):
-                buf[:] = rng.next_block(min(max(2 * len(buf), _FIRST_BLOCK), _BLOCK_CAP))
-                pos = 0
-            z = buf[pos]
-            pos += 1
-            if z < limit:
-                break
-        values.append(z % span)
-    return values, pos
+    k = phase
+    for z in block:
+        if z < limits[k]:
+            values.append(z % spans[k] + offsets[k])
+            k = (k + 1) % len(spans)
+    return values
 
 
-def _draw_simple(values: list[int], pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    # partial Fisher-Yates over a copy of the pair table: value i picks a
-    # position among the len(pairs) - i not yet taken
-    pool = pairs[:]
-    for i, r in enumerate(values):
-        j = i + r
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:len(values)]
+def _twice(masks: list[int]) -> int:
+    """The vertices that two or more of the masks hold."""
+    once = twice = 0
+    for b in masks:
+        twice |= once & b
+        once |= b
+    return twice
 
 
-def _draw_multi(values: list[int]) -> list[tuple[int, int]]:
-    # values alternate below n and below n - 1: an endpoint, then the other
-    out = []
-    ends = iter(values)
-    for u, v in zip(ends, ends):
-        if v >= u:
-            v += 1
-        out.append((u, v) if u < v else (v, u))
-    return out
+@lru_cache(maxsize=8)
+def _draw_tables(n: int, m: int, allow_parallel: bool) -> tuple:
+    """What generate() reads, never writes, to draw m edges on n vertices:
+    each pair's vertex mask with the pair, the masks the draw values pick
+    (a list for the shuffle, a table by endpoints for a multigraph), and
+    the cycle of spans, bias limits and offsets the values follow."""
+    pair_of = {1 << u | 1 << v: (u, v) for u in range(n) for v in range(u + 1, n)}
+    if allow_parallel:
+        # values alternate below n and below n - 1: an endpoint, then the other
+        spans = [n, n - 1] * m
+        offsets = [0] * (2 * m)
+        picks = [[1 << u | 1 << (v + (v >= u)) for v in range(n - 1)] for u in range(n)]
+    else:
+        # partial Fisher-Yates over the pair masks: value i is a position
+        # among the len(pair_of) - i not yet taken, plus i
+        spans = list(range(len(pair_of), len(pair_of) - m, -1))
+        offsets = list(range(m))
+        picks = list(pair_of)
+    limits = [(1 << 64) - (1 << 64) % s for s in spans]
+    return pair_of, picks, spans, limits, offsets
 
 
 def generate(spec: GenSpec) -> Graph:
@@ -179,18 +202,44 @@ def generate(spec: GenSpec) -> Graph:
     if n <= 1:
         return Graph(n, ())
     m = int(spec.target_bound * (n - 1))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if not spec.allow_parallel and m > len(pairs):
+    if not spec.allow_parallel and m > n * (n - 1) // 2:
         raise ValueError(f"{m} edges do not fit in a simple graph on {n} vertices")
-    spans = [n, n - 1] * m if spec.allow_parallel else list(range(len(pairs), len(pairs) - m, -1))
-    limits = [(1 << 64) - (1 << 64) % s for s in spans]
-    rng = SplitMix64(spec.seed)
-    buf: list[int] = []
-    pos = 0
+    pair_of, picks, spans, limits, offsets = _draw_tables(n, m, spec.allow_parallel)
     density = _density_limits(n, *spec.target_bound.as_integer_ratio())
+    # the peel's first step rejects a draw exactly when some vertex has
+    # degree below t (see the module docstring); t >= 1
+    t = m - density[n - 1]
+    full = (1 << n) - 1
+    rng = SplitMix64(spec.seed)
+    values: list[int] = []
+    pos = 0
+    size = _FIRST_BLOCK
     for _ in range(spec.max_rejections):
-        values, pos = _below_each(rng, buf, pos, limits, spans)
-        edges = _draw_multi(values) if spec.allow_parallel else _draw_simple(values, pairs)
+        end = pos + len(spans)
+        while end > len(values):
+            # a draw that straddles the refill has read len(values) - pos
+            # values: the phase at which the new block starts
+            block = _block_values(rng.next_block(size), len(values) - pos, spans, limits, offsets)
+            values = values[pos:] + block
+            pos, end = 0, len(spans)
+            size = min(2 * size, _BLOCK_CAP)
+        draw = values[pos:end]
+        pos = end
+        if spec.allow_parallel:
+            it = iter(draw)
+            drawn = [picks[u][v] for u, v in zip(it, it)]
+            once = reduce(or_, drawn)
+        else:
+            drawn = picks[:]
+            once = 0
+            for i, j in enumerate(draw):
+                once |= drawn[j]  # the pair step i takes
+                drawn[i], drawn[j] = drawn[j], drawn[i]
+            del drawn[m:]
+        # a vertex of degree below min(t, 2)
+        if once != full or (t > 1 and _twice(drawn) != full):
+            continue
+        edges = list(map(pair_of.__getitem__, drawn))
         if not _peeling_exceeds(n, edges, density):
             graph = Graph(n, tuple(sorted(edges)))
             if fractional_arboricity_at_most(graph, spec.target_bound):

@@ -149,6 +149,17 @@ def brute_flats(rank_fn, ground):
     return flats
 
 
+def brute_dominates(graph, edges):
+    """Is every vertex an endpoint of one of the edges, or a neighbour of
+    such an endpoint?"""
+    ends = {x for e in edges for x in graph.endpoints[e]}
+    nbr = [set() for _ in range(graph.vertex_count)]
+    for u, v in graph.endpoints:
+        nbr[u].add(v)
+        nbr[v].add(u)
+    return all(v in ends or nbr[v] & ends for v in range(graph.vertex_count))
+
+
 def brute_edge_domination(graph):
     """Smallest edge set meeting every closed neighborhood.
 

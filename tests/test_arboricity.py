@@ -371,6 +371,18 @@ def test_peeling_matches_the_reference_peel(drawn, p, q, data):
     )
 
 
+@pytest.mark.parametrize("shape", ["path", "star"])
+def test_peeling_is_not_quadratic(shape):
+    # a forest never exceeds density 1, so the peel walks its whole chain;
+    # a scan of every degree per peeled vertex takes minutes here
+    n = 50000
+    edges = [(v, v + 1) if shape == "path" else (0, v + 1) for v in range(n - 1)]
+    start = time.perf_counter()
+    assert _peeling_exceeds(n, edges, _density_limits(n, 1, 1)) is None
+    assert _peeling_exceeds(n, edges, _density_limits(n, 0, 1), densest=True) == (n - 1, n - 1)
+    assert time.perf_counter() - start < 2.0
+
+
 @st.composite
 def loop_free_multigraphs(draw):
     """2..9 vertices and 1..18 edges, parallel edges allowed, no loops;

@@ -4,6 +4,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arborkit import (
     DeskScaleExceeded,
@@ -17,7 +18,7 @@ from arborkit import (
     two_path_union,
 )
 from helpers import complete_graph, cycle, path, star
-from oracles import brute_edge_domination, brute_two_path_domination
+from oracles import brute_dominates, brute_edge_domination, brute_two_path_domination
 
 
 def test_edge_domination_frozen_values():
@@ -69,6 +70,40 @@ def test_dominates_follows_the_definition():
     assert dominates(g, {1})
     with pytest.raises(ValueError):
         dominates(g, {5})
+
+
+def test_dominates_a_long_matching_in_linear_space():
+    # an n-bit closed-neighbourhood mask per vertex would take about 50 MB
+    n = 20000
+    g = Graph(n, tuple((v, v + 1) for v in range(0, n, 2)))
+    tracemalloc.start()
+    try:
+        every = dominates(g, range(n // 2))
+        all_but_one = dominates(g, range(1, n // 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert every and not all_but_one
+    assert peak < 1 << 20, peak
+
+
+@st.composite
+def graphs_with_edge_subsets(draw):
+    """Up to 8 vertices and 12 edges, loops and parallel edges allowed,
+    isolated vertices possible, and a subset of the edge ids."""
+    n = draw(st.integers(0, 8))
+    if n == 0:
+        return Graph(0, ()), []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(lambda t: tuple(sorted(t)))
+    g = Graph(n, tuple(sorted(draw(st.lists(pair, max_size=12)))))
+    return g, draw(st.lists(st.integers(0, max(g.edge_count - 1, 0)), max_size=g.edge_count))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_edge_subsets())
+def test_dominates_matches_the_definition(drawn):
+    g, edges = drawn
+    assert dominates(g, edges) == brute_dominates(g, edges)
 
 
 def test_no_single_edge_dominates_a_hexagon():

@@ -3,6 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from arborkit import (
     GenerationError,
@@ -14,6 +15,7 @@ from arborkit import (
     fractional_arboricity_at_most,
     generate,
 )
+from arborkit.arboricity import _density_limits, _peeling_exceeds
 from arborkit.generate import _FIRST_BLOCK
 from oracles import brute_frac_arboricity, reference_sample, splitmix64_unmix
 
@@ -222,14 +224,66 @@ def _seed_with_top_output(position):
 BIAS_SHAPES = ((6, Fraction(6, 5), False), (5, Fraction(5, 4), True), (6, Fraction(8, 5), True))
 
 
+def _straddling_position(per_draw):
+    """A position whose output, skipped with every output before it kept,
+    falls in a draw that starts in the first block and ends in the second:
+    the first output of the second block, or the last of the first when a
+    draw ends at the block boundary. Returns it and how many of that draw's
+    values come before the boundary, the phase at which the second block
+    starts."""
+    position = _FIRST_BLOCK if _FIRST_BLOCK % per_draw else _FIRST_BLOCK - 1
+    start = position - position % per_draw
+    # the draw reads per_draw + 1 outputs, the skipped one among them
+    assert start < _FIRST_BLOCK < start + per_draw + 1
+    return position, _FIRST_BLOCK - start - (position < _FIRST_BLOCK)
+
+
 @pytest.mark.parametrize("n, bound, allow_parallel", BIAS_SHAPES)
-@pytest.mark.parametrize("position", [0, _FIRST_BLOCK - 1, 3 * _FIRST_BLOCK - 1])
+@pytest.mark.parametrize("position", [0, _FIRST_BLOCK - 1, 3 * _FIRST_BLOCK - 1, "straddling"])
 def test_generator_skips_biased_outputs_like_below(n, bound, allow_parallel, position):
     # the chance of a skipped output is below 2^-57, so no ordinary seed
     # reaches this path: the seed puts one at the first output, at the last
-    # of the first block and at the last of the second
+    # of the first block, at the last of the second, and in a draw that
+    # reads outputs of both the first and the second block
+    per_draw = int(bound * (n - 1)) * (2 if allow_parallel else 1)
+    if position == "straddling":
+        position, phase = _straddling_position(per_draw)
+        assert 0 < phase < per_draw
     seed = _seed_with_top_output(position)
     expected, attempts = reference_sample(n, bound, seed, 60, allow_parallel)
-    per_draw = int(bound * (n - 1)) * (2 if allow_parallel else 1)
     assert attempts * per_draw > position  # the sampler read that output
     _assert_matches_reference(n, bound, seed, budget=60, allow_parallel=allow_parallel)
+
+
+@st.composite
+def draws_with_a_low_vertex(draw):
+    """(n, bound, edges): the m = int(bound (n - 1)) edges of a simple or a
+    multigraph draw, as sorted pairs of distinct vertices, in which some
+    vertex x has degree below min(t, 2), t = m - floor(p (n - 2) / q)."""
+    n = draw(st.integers(3, 9))
+    bound = draw(st.sampled_from(SAMPLER_BOUNDS + (Fraction(n, 2),)))
+    allow_parallel = draw(st.booleans())
+    m = int(bound * (n - 1))
+    t = m - _density_limits(n, *bound.as_integer_ratio())[n - 1]
+    x = draw(st.integers(0, n - 1))
+    low = draw(st.integers(0, min(t, 2) - 1))
+    others = [v for v in range(n) if v != x]
+    rest = [(u, v) for u in others for v in others if u < v]
+    if allow_parallel:
+        at_x = draw(st.lists(st.sampled_from(others), min_size=low, max_size=low))
+        away = draw(st.lists(st.sampled_from(rest), min_size=m - low, max_size=m - low))
+    else:
+        # a simple draw of all pairs is the complete graph, with no low vertex
+        assume(m - low <= len(rest))
+        at_x = draw(st.lists(st.sampled_from(others), min_size=low, max_size=low, unique=True))
+        away = draw(st.permutations(rest))[:m - low]
+    edges = [(min(x, v), max(x, v)) for v in at_x] + away
+    return n, bound, draw(st.permutations(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(draws_with_a_low_vertex())
+def test_a_low_degree_vertex_makes_the_peel_reject(drawn):
+    # generate() rejects such a draw on its two vertex masks, before the peel
+    n, bound, edges = drawn
+    assert _peeling_exceeds(n, edges, _density_limits(n, *bound.as_integer_ratio())) is not None
