@@ -31,6 +31,22 @@ vertex of least degree, the scan's pick, and the peel takes O(n + m log n).
 Neither the density loop nor the peel walks vertices that no edge touches,
 so a sparse graph with a huge vertex count costs what its edges cost.
 
+Both flow-based routines then run on a core only: the k-core is what is
+left once every vertex of degree below k is dropped, again and again.
+Dropping v from S changes the excess |E(S)| - lambda (|S| - 1) by
+lambda - deg_S(v). So if S has the largest excess at lambda, |S| >= 3, a v
+with deg_S(v) < lambda would leave S - v strictly better, and every inside
+degree is at least lambda; a pair of positive excess has multiplicity above
+lambda. At lambda = gamma_f the largest excess is 0, so this holds for every
+densest set. The density loop starts at lambda0, the density of the densest
+peeled set, so every set it finds, and its witness, lies in the
+ceil(lambda0)-core; the core is relabelled in vertex order, which keeps the
+value and the witness. For the threshold test at bound b, an
+inclusion-minimal set of largest positive excess has every inside degree
+above b, so it lies in the (floor(b) + 1)-core, and an empty core answers
+"yes". The core takes one O(n + m) pass, so a sparse tail on a small dense
+knot costs no flows.
+
 arboricity partitions into k = 1, 2, ... forests until a partition exists.
 Its witness is the vertex set S of the violating edge set T of the last
 failed k. T is connected, so |T| > k r(T) reads |T| > k (|S| - 1), and the
@@ -39,6 +55,7 @@ density of S has the arboricity, k + 1, as its ceiling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -108,6 +125,30 @@ def _touched_pairs(graph: Graph) -> tuple[list[int], list[tuple[int, int]]]:
     index = {x: i for i, x in enumerate(used)}
     pairs = sorted((index[u], index[v]) if u <= v else (index[v], index[u]) for u, v in graph.endpoints)
     return used, pairs
+
+
+def _core(n: int, pairs: list[tuple[int, int]], k: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """The k-core of the sorted (lower, upper) pairs on 0..n-1: its vertices
+    in increasing order, and the pairs among them relabelled onto their
+    positions, still sorted. Vertices of degree below k are dropped until
+    none is left, in O(n + m); parallel edges count with multiplicity."""
+    deg = [0] * n
+    adj = [[] for _ in range(n)]
+    for u, v in pairs:
+        deg[u] += 1
+        deg[v] += 1
+        adj[u].append(v)
+        adj[v].append(u)
+    drop = [x for x in range(n) if deg[x] < k]
+    while drop:
+        for w in adj[drop.pop()]:
+            deg[w] -= 1
+            # a vertex falls below k once, and is dropped then
+            if deg[w] == k - 1:
+                drop.append(w)
+    kept = [x for x in range(n) if deg[x] >= k]
+    index = {x: i for i, x in enumerate(kept)}
+    return kept, [(index[u], index[v]) for u, v in pairs if u in index and v in index]
 
 
 def _improving_subset(
@@ -191,13 +232,14 @@ def fractional_arboricity(graph: Graph) -> FracArbResult:
     n = len(used)
     # the densest set on the peeling chain is a real set: at most gamma_f
     lam = Fraction(*_peeling_exceeds(n, pairs, _density_limits(n, 0, 1), densest=True))
+    kept, pairs = _core(n, pairs, math.ceil(lam))
     steps = 0
     while True:
         steps += 1
         if steps > (graph.edge_count + 1) * (n + 1):
             raise AssertionError("internal error: density iteration failed to terminate")
         improving, subset = _improving_subset(pairs, lam)
-        subset = frozenset(used[x] for x in subset or ())
+        subset = frozenset(used[kept[x]] for x in subset or ())
         if not improving:
             if len(subset) < 2 or _density(graph, subset) != lam:
                 raise AssertionError("internal error: the density witness does not reach the value")
@@ -225,7 +267,8 @@ def _peeling_exceeds(
 
     With densest, limit is _density_limits(n, p, q) and the result is the
     densest set on the chain (the largest on a tie) if it is denser than
-    p / q: each set found tightens the limits to its own density.
+    p / q: after the first set found, a set must beat the best pair so far,
+    checked by one cross-multiplication.
 
     Takes the raw pairs of a loop-free multigraph on 0..n-1, in any order:
     ties go to the lowest vertex, so the order of the pairs does not matter.
@@ -244,13 +287,13 @@ def _peeling_exceeds(
     adj = heap = None
     low = -1
     for size in range(n, 1, -1):
-        if inside > limit[size]:
+        # only densest goes on past the first set found
+        if (inside * found[1] > found[0] * (size - 1)) if found else (inside > limit[size]):
             if members:
                 return frozenset(x for x, dx in enumerate(deg) if dx <= total)
             found = (inside, size - 1)
             if not densest:
                 return found
-            limit = _density_limits(n, *found)
         if low < 0:
             low = deg.index(min(deg))
         else:
@@ -303,6 +346,8 @@ def fractional_arboricity_at_most(graph: Graph, bound) -> bool:
     n = len(used)
     if _peeling_exceeds(n, pairs, _density_limits(n, bound.numerator, bound.denominator)):
         return False
+    # a set of positive excess leaves one with every inside degree > bound
+    _, pairs = _core(n, pairs, math.floor(bound) + 1)
     return not _improving_subset(pairs, bound, stop_at_first=True)[0]
 
 

@@ -371,16 +371,39 @@ def test_peeling_matches_the_reference_peel(drawn, p, q, data):
     )
 
 
-@pytest.mark.parametrize("shape", ["path", "star"])
+def _knot_with_tail(n):
+    """K5 on 0..4 with a pendant path 4, 5, ..., n - 1."""
+    return [(u, v) for u in range(5) for v in range(u + 1, 5)] + [(v, v + 1) for v in range(4, n - 1)]
+
+
+@pytest.mark.parametrize("shape", ["path", "star", "knot"])
 def test_peeling_is_not_quadratic(shape):
     # a forest never exceeds density 1, so the peel walks its whole chain;
-    # a scan of every degree per peeled vertex takes minutes here
+    # a scan of every degree per peeled vertex takes minutes here. The knot's
+    # chain sheds the tail's end at each step, (10 + j) edges on 4 + j, so it
+    # grows denser at every step and densest mode finds a new best each time
     n = 50000
-    edges = [(v, v + 1) if shape == "path" else (0, v + 1) for v in range(n - 1)]
+    if shape == "knot":
+        edges, bound, densest = _knot_with_tail(n), (5, 2), (10, 4)
+    else:
+        edges = [(v, v + 1) if shape == "path" else (0, v + 1) for v in range(n - 1)]
+        bound, densest = (1, 1), (n - 1, n - 1)
     start = time.perf_counter()
-    assert _peeling_exceeds(n, edges, _density_limits(n, 1, 1)) is None
-    assert _peeling_exceeds(n, edges, _density_limits(n, 0, 1), densest=True) == (n - 1, n - 1)
+    assert _peeling_exceeds(n, edges, _density_limits(n, *bound)) is None
+    assert _peeling_exceeds(n, edges, _density_limits(n, 0, 1), densest=True) == densest
     assert time.perf_counter() - start < 2.0
+
+
+def test_long_pendant_path_leaves_the_knot_alone():
+    # only the 3-core, the K5, enters the flows: a per-vertex min cut over
+    # the whole path took half a minute on a 2,500-vertex tail
+    graph = Graph(20005, tuple(_knot_with_tail(20005)))
+    start = time.perf_counter()
+    res = fractional_arboricity(graph)
+    assert (res.value, res.witness_vertices) == (Fraction(5, 2), frozenset(range(5)))
+    assert fractional_arboricity_at_most(graph, Fraction(5, 2))
+    assert not fractional_arboricity_at_most(graph, Fraction(5, 2) - Fraction(1, 1000))
+    assert time.perf_counter() - start < 5.0
 
 
 @st.composite
@@ -398,3 +421,34 @@ def loop_free_multigraphs(draw):
 def test_frac_witness_is_the_largest_densest_set(graph):
     res = fractional_arboricity(graph)
     assert (res.value, res.witness_vertices) == brute_canonical_witness(graph)
+
+
+@st.composite
+def cored_multigraphs(draw):
+    """A loop-free multigraph whose core is smaller than its touched set:
+    a knot (K3..K5, up to three edges repeated) with pendant trees, or a pair
+    of multiplicity 3 with a sparse tail (a tree, perhaps with one chord),
+    so that the core is the pair. Up to 9 vertices, labels shuffled."""
+    if draw(st.booleans()):
+        k = draw(st.integers(3, 5))
+        knot = [(u, v) for u in range(k) for v in range(u + 1, k)]
+        edges = knot + draw(st.lists(st.sampled_from(knot), max_size=3))
+    else:
+        k, edges = 2, [(0, 1)] * 3
+    n = draw(st.integers(k + 1, 9))
+    edges += [(draw(st.integers(0, x - 1)), x) for x in range(k, n)]
+    if k == 2 and n > 3 and draw(st.booleans()):
+        u, v = draw(st.lists(st.integers(2, n - 1), min_size=2, max_size=2, unique=True))
+        edges.append((u, v))
+    label = draw(st.permutations(range(n)))
+    return Graph(n, tuple(sorted(tuple(sorted((label[u], label[v]))) for u, v in edges)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cored_multigraphs())
+def test_core_keeps_the_value_witness_and_threshold(graph):
+    res = fractional_arboricity(graph)
+    assert (res.value, res.witness_vertices) == brute_canonical_witness(graph)
+    value = brute_frac_arboricity(graph)
+    assert fractional_arboricity_at_most(graph, value)
+    assert not fractional_arboricity_at_most(graph, value - Fraction(1, 1000))
