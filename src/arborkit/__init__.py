@@ -22,15 +22,7 @@ from .decompose import (
     remainder_witness,
     verify_decomposition,
 )
-from .domination import (
-    ConnChainReport,
-    DominationResult,
-    check_conn_chain,
-    dominates,
-    edge_domination,
-    two_path_domination,
-    two_path_union,
-)
+from .domination import DominationResult, dominates, edge_domination, two_path_domination
 from .experiment import CellResult, ExperimentConfig, emit_report, run_experiment
 from .generate import GenerationError, GenSpec, SplitMix64, derive_seed, generate
 from .graphs import (

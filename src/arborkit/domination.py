@@ -12,12 +12,10 @@ one of the pair. A component with exactly one edge makes it INFINITE.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .arboricity import fractional_arboricity_at_most
 from .graphs import Graph, check_edge_subset, line_graph
 from .limits import DOMINATION_DEFAULT, check_gate
-from .rationals import INFINITE, Infinite, format_value, is_infinite
+from .rationals import INFINITE, Infinite, is_infinite
 
 
 @dataclass(frozen=True)
@@ -148,6 +146,18 @@ def _edge_domination_core(covers: list[int], dom: list[int], want: int, edges):
     return best_size, best_wit
 
 
+def _solve_and_recheck(graph: Graph):
+    """Minimum dominating edge set of the whole graph, as (size, sorted
+    witness) or (INFINITE, None). The witness is re-checked against the
+    definition with a plain raise, so the check holds under python -O too."""
+    covers, dom = _coverage(graph)
+    full = (1 << graph.vertex_count) - 1
+    value, witness = _edge_domination_core(covers, dom, full, graph.edge_ids())
+    if not is_infinite(value) and not dominates(graph, witness):
+        raise AssertionError("solver returned a non-dominating witness")
+    return value, witness
+
+
 def edge_domination(graph: Graph) -> DominationResult:
     """Minimum dominating edge set, exact branch and bound."""
     check_gate(graph.edge_count, DOMINATION_DEFAULT, "edge_domination")
@@ -155,14 +165,7 @@ def edge_domination(graph: Graph) -> DominationResult:
     # vertex; an isolated vertex settles the answer before it is built
     if 0 in graph.degrees():
         return DominationResult(INFINITE, None)
-    covers, dom = _coverage(graph)
-    full = (1 << graph.vertex_count) - 1
-    value, witness = _edge_domination_core(covers, dom, full, graph.edge_ids())
-    if is_infinite(value):
-        return DominationResult(INFINITE, None)
-    if not dominates(graph, witness):
-        raise AssertionError("solver returned a non-dominating witness")
-    return DominationResult(value, witness)
+    return DominationResult(*_solve_and_recheck(graph))
 
 
 def _triple(graph: Graph, e1: int, e2: int) -> tuple[int, int, int]:
@@ -184,125 +187,10 @@ def two_path_domination(graph: Graph) -> DominationResult:
     """
     check_gate(graph.edge_count, DOMINATION_DEFAULT, "two_path_domination")
     lg = line_graph(graph)
-    covers, dom = _coverage(lg)
-    full = (1 << lg.vertex_count) - 1
-    value, witness = _edge_domination_core(covers, dom, full, lg.edge_ids())
+    value, witness = _solve_and_recheck(lg)
     if is_infinite(value):
         return DominationResult(INFINITE, None, None)
-    if not dominates(lg, witness):
-        raise AssertionError("solver returned a non-dominating witness")
     pairs = tuple(sorted(lg.endpoints[e] for e in witness))
     triples = tuple(_triple(graph, e1, e2) for e1, e2 in pairs)
     return DominationResult(value, triples, pairs)
 
-
-def two_path_union(graph: Graph, pairs) -> tuple[frozenset[int], frozenset[int]]:
-    """Vertices and edges of the union of the given 2-paths."""
-    edge_ids: set[int] = set()
-    for e1, e2 in pairs:
-        edge_ids.add(e1)
-        edge_ids.add(e2)
-    ids = check_edge_subset(graph, edge_ids)
-    vertices: set[int] = set()
-    for e in ids:
-        u, v = graph.endpoints[e]
-        vertices.add(u)
-        vertices.add(v)
-    return frozenset(vertices), frozenset(ids)
-
-
-@dataclass(frozen=True)
-class ConnChainReport:
-    """Inequality chain tying sparse, high-min-degree graphs to a linear
-    lower bound on the 2-path domination number.
-
-    Hypotheses (flagged, never thrown): fractional arboricity at most
-    k + 1/(3k+2), and minimum degree at least k+1. The chain re-evaluates,
-    from raw data, with H* the union of the optimal 2-path witness:
-      deficiency_ok:     (k+1)n - m <= (k+1)n* - m*
-      witness_ratio_ok:  n* <= (3/2) m*
-      sparsity_ok:       m < (k + eps) n
-      conclusion_ok:     gamma_p >= eps * n
-    An INFINITE gamma_p vacuously passes the witness checks.
-    """
-
-    k: int
-    epsilon: Fraction
-    vertices: int
-    edges: int
-    frac_arboricity_ok: bool
-    min_degree_ok: bool
-    gamma_p: int | Infinite
-    witness: tuple | None
-    n_star: int | None
-    m_star: int | None
-    deficiency_ok: bool
-    witness_ratio_ok: bool
-    sparsity_ok: bool
-    conclusion_ok: bool
-
-    @property
-    def eta_lower_bound(self) -> int | Infinite:
-        # certified lower bound for the topological invariant the chain
-        # actually targets; gamma_p is the computable stand-in
-        return self.gamma_p
-
-    def hypotheses_ok(self) -> bool:
-        return self.frac_arboricity_ok and self.min_degree_ok
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "epsilon": format_value(self.epsilon),
-            "vertices": self.vertices,
-            "edges": self.edges,
-            "frac_arboricity_ok": self.frac_arboricity_ok,
-            "min_degree_ok": self.min_degree_ok,
-            "gamma_p": format_value(self.gamma_p),
-            "eta_lower_bound": format_value(self.gamma_p),
-            "n_star": self.n_star,
-            "m_star": self.m_star,
-            "deficiency_ok": self.deficiency_ok,
-            "witness_ratio_ok": self.witness_ratio_ok,
-            "sparsity_ok": self.sparsity_ok,
-            "conclusion_ok": self.conclusion_ok,
-            "witness": None if self.witness is None else [list(t) for t in self.witness],
-        }
-
-
-def check_conn_chain(graph: Graph, k: int) -> ConnChainReport:
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    eps = Fraction(1, 3 * k + 2)
-    n, m = graph.vertex_count, graph.edge_count
-    frac_ok = fractional_arboricity_at_most(graph, k + eps)
-    degrees = graph.degrees()
-    mindeg_ok = n == 0 or min(degrees) >= k + 1
-    result = two_path_domination(graph)
-    gp = result.value
-    if is_infinite(gp):
-        n_star = m_star = None
-        deficiency_ok = ratio_ok = conclusion_ok = True
-    else:
-        vs, es = two_path_union(graph, result.witness_pairs or ())
-        n_star, m_star = len(vs), len(es)
-        deficiency_ok = (k + 1) * n - m <= (k + 1) * n_star - m_star
-        ratio_ok = 2 * n_star <= 3 * m_star
-        conclusion_ok = Fraction(gp) >= eps * n
-    sparsity_ok = Fraction(m) < (k + eps) * n
-    return ConnChainReport(
-        k=k,
-        epsilon=eps,
-        vertices=n,
-        edges=m,
-        frac_arboricity_ok=frac_ok,
-        min_degree_ok=mindeg_ok,
-        gamma_p=gp,
-        witness=result.witness,
-        n_star=n_star,
-        m_star=m_star,
-        deficiency_ok=deficiency_ok,
-        witness_ratio_ok=ratio_ok,
-        sparsity_ok=sparsity_ok,
-        conclusion_ok=conclusion_ok,
-    )

@@ -1,7 +1,6 @@
-"""Edge domination, 2-path domination, and the connectivity chain report."""
+"""Edge domination, 2-path domination, and the witness re-check they share."""
 
 import tracemalloc
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 from arborkit import (
     DeskScaleExceeded,
     Graph,
-    check_conn_chain,
     dominates,
     edge_domination,
     is_infinite,
     line_graph,
     two_path_domination,
-    two_path_union,
 )
+from arborkit import domination
 from helpers import complete_graph, cycle, path, star
 from oracles import brute_dominates, brute_edge_domination, brute_two_path_domination
 
@@ -131,6 +129,9 @@ def test_two_path_frozen_values():
     assert two_path_domination(cycle(6)).value == 2
     assert two_path_domination(complete_graph(4)).value == 1
     assert two_path_domination(path(4)).value == 1
+    empty = two_path_domination(Graph(0, ()))
+    assert empty.value == 0
+    assert empty.witness == () and empty.witness_pairs == ()
 
 
 def test_two_path_single_path_witness():
@@ -175,14 +176,6 @@ def test_two_path_matches_brute_oracle(corpus):
     assert checked > 50
 
 
-def test_two_path_union_counts():
-    vs, es = two_path_union(cycle(6), ((0, 1), (2, 3)))
-    assert vs == frozenset(range(5))
-    assert es == frozenset({0, 1, 2, 3})
-    with pytest.raises(ValueError):
-        two_path_union(cycle(6), ((0, 9),))
-
-
 def test_domination_gates(monkeypatch):
     monkeypatch.delenv("ARBORKIT_MAX_EDGES", raising=False)
     with pytest.raises(DeskScaleExceeded):
@@ -193,69 +186,14 @@ def test_domination_gates(monkeypatch):
     assert edge_domination(complete_graph(8)).value == 1
 
 
-def test_conn_chain_hexagon_at_the_boundary():
-    rep = check_conn_chain(cycle(6), 1)
-    assert rep.epsilon == Fraction(1, 5)
-    assert rep.vertices == 6 and rep.edges == 6
-    assert rep.frac_arboricity_ok and rep.min_degree_ok
-    assert rep.hypotheses_ok()
-    assert rep.gamma_p == 2
-    assert rep.n_star == 5 and rep.m_star == 4
-    assert rep.deficiency_ok and rep.witness_ratio_ok
-    assert rep.sparsity_ok and rep.conclusion_ok
-    assert rep.eta_lower_bound == 2
-    assert len(rep.witness) == 2
 
-
-def test_conn_chain_single_edge_is_vacuous():
-    rep = check_conn_chain(Graph(2, ((0, 1),)), 1)
-    assert is_infinite(rep.gamma_p)
-    assert rep.witness is None
-    assert rep.n_star is None and rep.m_star is None
-    assert rep.deficiency_ok and rep.witness_ratio_ok and rep.conclusion_ok
-    assert rep.frac_arboricity_ok
-    assert not rep.min_degree_ok
-    assert not rep.hypotheses_ok()
-    assert rep.sparsity_ok
-    assert is_infinite(rep.eta_lower_bound)
-
-
-def test_conn_chain_dense_graph_fails_hypotheses():
-    rep = check_conn_chain(complete_graph(4), 1)
-    assert not rep.frac_arboricity_ok
-    assert not rep.sparsity_ok
-    assert rep.min_degree_ok
-    assert not rep.hypotheses_ok()
-    # the conclusion may still hold, the report just cannot promise it
-    assert rep.gamma_p == 1
-    assert rep.conclusion_ok
-    assert rep.deficiency_ok and rep.witness_ratio_ok
-
-
-def test_conn_chain_empty_graph():
-    rep = check_conn_chain(Graph(0, ()), 1)
-    assert rep.gamma_p == 0
-    assert rep.min_degree_ok
-    assert not rep.sparsity_ok
-    assert rep.deficiency_ok and rep.witness_ratio_ok and rep.conclusion_ok
-
-
-def test_conn_chain_rejects_bad_k():
-    with pytest.raises(ValueError):
-        check_conn_chain(cycle(6), 0)
-    with pytest.raises(ValueError):
-        check_conn_chain(cycle(6), -1)
-
-
-def test_conn_chain_json_shape():
-    doc = check_conn_chain(cycle(6), 1).to_json()
-    assert doc["epsilon"] == "1/5"
-    assert doc["gamma_p"] == "2"
-    assert doc["eta_lower_bound"] == "2"
-    assert doc["n_star"] == 5 and doc["m_star"] == 4
-    assert doc["k"] == 1
-    assert isinstance(doc["conclusion_ok"], bool)
-    assert all(len(t) == 3 for t in doc["witness"])
-    vacuous = check_conn_chain(Graph(2, ((0, 1),)), 1).to_json()
-    assert vacuous["gamma_p"] == "INFINITE"
-    assert vacuous["witness"] is None
+def test_a_non_dominating_witness_raises(monkeypatch):
+    # edge 0 of a 5-vertex path covers vertices 0..2 only, and vertex 0 of
+    # its line graph (a 4-vertex path) covers line-graph vertices 0..2 only;
+    # the re-check is a plain raise, so it fires under python -O as well
+    monkeypatch.setattr(domination, "_edge_domination_core", lambda *args: (1, (0,)))
+    g = path(5)
+    with pytest.raises(AssertionError, match="non-dominating witness"):
+        edge_domination(g)
+    with pytest.raises(AssertionError, match="non-dominating witness"):
+        two_path_domination(g)

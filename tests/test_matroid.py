@@ -377,14 +377,15 @@ def test_union_oracle_wraps_union_rank():
 def test_test_only_api_is_gone():
     # one matroid representation (bitmask tables and flat_masks); the
     # frozenset oracles, circuit and basis enumerators, the edge-induced
-    # subgraph, the gate wrapper, and the predicates that only restated
-    # graph_stats or the definitions are not API
+    # subgraph, the gate wrapper, the inequality-chain report, and the
+    # predicates that only restated graph_stats or the definitions are not API
     removed = (
         "union_oracle", "dual_oracle", "enumerate_flats", "is_circuit", "bases",
         "FLAT_ENUM_DEFAULT", "check_subgraph_bound", "arboricity_matches_ceiling",
         "Threshold", "cover_degree_bound", "components", "is_matching", "is_forest",
         "RankOracle", "cycle_matroid", "dual_rank", "edge_induced_subgraph",
-        "InducedSubgraph", "gate",
+        "InducedSubgraph", "gate", "check_conn_chain", "ConnChainReport",
+        "two_path_union",
     )
     modules = [arborkit] + [
         importlib.import_module(f"arborkit.{info.name}")
