@@ -158,12 +158,13 @@ def _improving_subset(
     loop-free multigraph.
 
     Returns (True, S) with |E(S)| - lam (|S| - 1) maximal and > 0 when some
-    set has positive excess; with stop_at_first, the first such set found.
-    Otherwise returns (False, W): W is None with stop_at_first or when lam
-    is above gamma_f, and at lam = gamma_f, where the density loop's last
-    pass runs (the loop starts at a peeled set's density and moves only to
-    the densities of real sets), the largest densest set, the one with the
-    lowest lowest vertex on a tie.
+    set has positive excess; with stop_at_first, (True, None) at the first
+    flow that finds one, with no min-cut side built, since the threshold test
+    reads only the flag. Otherwise returns (False, W): W is None with
+    stop_at_first or when lam is above gamma_f, and at lam = gamma_f, where
+    the density loop's last pass runs (the loop starts at a peeled set's
+    density and moves only to the densities of real sets), the largest
+    densest set, the one with the lowest lowest vertex on a tie.
 
     One min cut is solved per vertex v, in the order v = 0, 1, ...: v is free
     of the per-vertex charge, so the cut weighs |E(S)| - lam (|S| - 1) over
@@ -197,17 +198,16 @@ def _improving_subset(
         for e, (u, v) in enumerate(edges, 2):
             net.add_edge(0, e, q)
             net.add_edge(e, node[u], big)
-            if v != u:
-                net.add_edge(e, node[v], big)
+            net.add_edge(e, node[v], big)
         for x in verts[1:]:  # verts[0] is free
             net.add_edge(node[x], 1, p)
         excess = q * m - net.max_flow(0, 1)
         if excess > best_excess:
+            if stop_at_first:
+                return True, None
             side = net.min_cut_source_side(0)
             best_excess = excess
             best = frozenset(x for x in verts if node[x] in side)
-            if stop_at_first:
-                return True, best
         elif not (best_excess or stop_at_first) and len(verts) > widest:
             reach = net.min_cut_sink_side(1)
             side = frozenset(x for x in verts if node[x] not in reach)

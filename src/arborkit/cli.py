@@ -53,31 +53,15 @@ def _parse_range(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def cmd_arboricity(args) -> int:
+def cmd_value(args) -> int:
+    # arboricity and frac; the parser sets the solver and the JSON key
     graph = _load_graph(args.file)
-    res = arboricity(graph)
+    res = args.solver(graph)
     if args.json:
         print(
             json.dumps(
                 {
-                    "arboricity": format_value(res.value),
-                    "witness_vertices": sorted(res.witness_vertices),
-                }
-            )
-        )
-    else:
-        print(format_value(res.value))
-    return 0
-
-
-def cmd_frac(args) -> int:
-    graph = _load_graph(args.file)
-    res = fractional_arboricity(graph)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "fractional_arboricity": format_value(res.value),
+                    args.key: format_value(res.value),
                     "witness_vertices": sorted(res.witness_vertices),
                 }
             )
@@ -312,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("arboricity", help="minimum number of covering forests")
     p.add_argument("file", help="graph file, or - for stdin")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_arboricity)
+    p.set_defaults(func=cmd_value, solver=arboricity, key="arboricity")
 
     p = sub.add_parser("frac", help="fractional arboricity as an exact rational")
     p.add_argument("file", help="graph file, or - for stdin")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_frac)
+    p.set_defaults(func=cmd_value, solver=fractional_arboricity, key="fractional_arboricity")
 
     p = sub.add_parser("partition", help="split the edges into k forests")
     p.add_argument("file", help="graph file, or - for stdin")
@@ -394,12 +378,6 @@ def main(argv=None) -> int:
         # the size gates count edges; a huge declared vertex count with few
         # edges passes them and can still exhaust memory
         print("error: out of memory: the graph is too large", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # the bounded decomposition search recurses once per edge and the
-        # domination search once per chosen edge; a gate raised through
-        # ARBORKIT_MAX_EDGES can let them overrun the interpreter's stack
-        print("error: recursion too deep: the graph is too large for this search", file=sys.stderr)
         return 2
 
 

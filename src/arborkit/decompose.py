@@ -12,6 +12,14 @@ remainder lives in a one-forest _ForestPartition of its own: an edge may join
 it when no forest path links its endpoints, and is added and removed directly,
 with no augmentation. A graph remainder needs only its degree counts.
 
+Both searches, and the domination search, keep their branch points on a list
+rather than the interpreter's stack, so no input depth can overrun its
+recursion limit. Each branch point is a generator: it makes its next choice,
+yields the state below it (a pivot position or an edge index, never
+negative), and undoes that choice when resumed. The driver loop starts from
+a one-state iterator, calls next(frames[-1], -1), pushes a branch point for
+each state that needs one and pops the generators that return -1.
+
 Both searches first ask remainder_witness for a vertex set with more edges
 than k forests and the remainder can hold inside it; such a set settles the
 answer before any search. A None return means EXHAUSTED: no decomposition
@@ -58,10 +66,9 @@ def maximal_matchings(graph: Graph) -> Iterator[frozenset[int]]:
 
     Branches on the first edge (in priority order) with both endpoints
     unmatched: either an edge at u joins the matching, or u is pinned
-    unmatched and some edge at v must join. The branch points live on an
-    explicit stack, so a long path does not overrun the interpreter's
-    recursion limit. The matching only grows below a branch point, so the
-    edges before its pivot stay covered and the next pivot scan resumes there.
+    unmatched and some edge at v must join. The matching only grows below a
+    branch point, so the edges before its pivot stay covered and the next
+    pivot scan resumes there; each branch point yields its pivot position.
     """
     if graph.has_loop():
         raise ValueError("matchings are undefined with loops present")
@@ -75,11 +82,31 @@ def maximal_matchings(graph: Graph) -> Iterator[frozenset[int]]:
         u, v = ends[e]
         at[u].append(e)
         at[v].append(e)
-    # a branch point: [pivot position, the vertices whose edges are tried in
-    # turn, which of them, next index into its edges, the edge taken or -1]
-    stack: list[list] = []
-    cursor = 0
-    while True:
+
+    def branch(cursor: int, anchors: tuple[int, ...]) -> Iterator[int]:
+        for which, anchor in enumerate(anchors):
+            if which:
+                # no edge at u joins: pin u and let an edge at v join
+                pinned[anchors[0]] = True
+            for e in at[anchor]:
+                a, b = ends[e]
+                w = b if a == anchor else a
+                if matched[w] or pinned[w]:
+                    continue
+                matched[a] = matched[b] = True
+                chosen.append(e)
+                yield cursor
+                matched[a] = matched[b] = False
+                chosen.pop()
+        if len(anchors) > 1:
+            pinned[anchors[0]] = False
+
+    frames: list[Iterator[int]] = [iter((0,))]
+    while frames:
+        cursor = next(frames[-1], -1)
+        if cursor < 0:
+            frames.pop()
+            continue
         while cursor < len(order):
             u, v = ends[order[cursor]]
             if not matched[u] and not matched[v]:
@@ -89,40 +116,7 @@ def maximal_matchings(graph: Graph) -> Iterator[frozenset[int]]:
             yield frozenset(chosen)
         elif not pinned[u] or not pinned[v]:
             anchors = (v,) if pinned[u] else (u,) if pinned[v] else (u, v)
-            stack.append([cursor, anchors, 0, 0, -1])
-        # move the innermost branch point to its next choice
-        while stack:
-            frame = stack[-1]
-            cursor, anchors, which, i, taken = frame
-            if taken >= 0:
-                a, b = ends[taken]
-                matched[a] = matched[b] = False
-                chosen.pop()
-            anchor = anchors[which]
-            edges = at[anchor]
-            while i < len(edges):
-                a, b = ends[edges[i]]
-                w = b if a == anchor else a
-                if not matched[w] and not pinned[w]:
-                    break
-                i += 1
-            if i < len(edges):
-                taken = edges[i]
-                frame[3], frame[4] = i + 1, taken
-                a, b = ends[taken]
-                matched[a] = matched[b] = True
-                chosen.append(taken)
-                break
-            if which + 1 < len(anchors):
-                # no edge at u joins: pin u and let an edge at v join
-                pinned[anchor] = True
-                frame[2:] = which + 1, 0, -1
-            else:
-                if which:
-                    pinned[anchors[0]] = False
-                stack.pop()
-        else:
-            return
+            frames.append(branch(cursor, anchors))
 
 
 def _remainder_cap(kind: str, d: int | None, s: int) -> int:
@@ -209,22 +203,13 @@ def decompose_forests_bounded(graph: Graph, k: int, d: int, kind: str) -> Decomp
     remainder: list[int] = []
     forest_rem = _ForestPartition(graph, 1) if kind == "forest" else None
 
-    def assign(idx: int) -> Decomposition | None:
-        if idx == len(order):
-            return Decomposition(
-                forests=part.forest_sets(),
-                remainder=frozenset(remainder),
-                kind=kind,
-                degree_bound=d,
-            )
+    def branch(idx: int) -> Iterator[int]:
         e = order[idx]
         u, v = graph.endpoints[e]
         mark = part.snapshot()
         ok, _ = part.try_insert(e)
         if ok:
-            found = assign(idx + 1)
-            if found is not None:
-                return found
+            yield idx + 1
             part.restore(mark)
         if deg_rem[u] < d and deg_rem[v] < d and (
             forest_rem is None or forest_rem._forest_path(0, u, v) is None
@@ -234,17 +219,28 @@ def decompose_forests_bounded(graph: Graph, k: int, d: int, kind: str) -> Decomp
             deg_rem[v] += 1
             if forest_rem is not None:
                 forest_rem._add(0, e)
-            found = assign(idx + 1)
-            if found is not None:
-                return found
+            yield idx + 1
             if forest_rem is not None:
                 forest_rem._remove(0, e)
             deg_rem[u] -= 1
             deg_rem[v] -= 1
             remainder.pop()
-        return None
 
-    return assign(0)
+    frames: list[Iterator[int]] = [iter((0,))]
+    while frames:
+        idx = next(frames[-1], -1)
+        if idx < 0:
+            frames.pop()
+        elif idx == len(order):
+            return Decomposition(
+                forests=part.forest_sets(),
+                remainder=frozenset(remainder),
+                kind=kind,
+                degree_bound=d,
+            )
+        else:
+            frames.append(branch(idx))
+    return None
 
 
 def verify_decomposition(

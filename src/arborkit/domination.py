@@ -7,11 +7,18 @@ dominating edge set at all, which the solvers report as INFINITE.
 The 2-path number is edge domination on the line graph: a 2-path is a pair
 of adjacent edges, and it dominates every edge within line-graph distance
 one of the pair. A component with exactly one edge makes it INFINITE.
+
+The branch and bound keeps its branch points on a list, in the idiom of the
+searches in decompose.py: each is a generator that adds its next candidate
+edge to the chosen set, yields the mask of vertices still undominated, and
+takes the edge back out when resumed. The driver loop pops a generator when
+next() returns the sentinel -1, since the empty mask 0 is a state of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graphs import Graph, check_edge_subset, line_graph
 from .limits import DOMINATION_DEFAULT, check_gate
@@ -110,15 +117,8 @@ def _edge_domination_core(covers: list[int], dom: list[int], want: int, edges):
 
     chosen: list[int] = []
 
-    def search(undom: int):
-        nonlocal best_size, best_wit
-        if not undom:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best_wit = tuple(sorted(chosen))
-            return
-        if len(chosen) + lower_bound(undom) >= best_size:
-            return
+    def branch(undom: int) -> Iterator[int]:
+        # the undominated vertex with the fewest candidate edges
         pick = -1
         fewest = len(covers) + 1
         rest = undom
@@ -139,10 +139,20 @@ def _edge_domination_core(covers: list[int], dom: list[int], want: int, edges):
         cands.sort(key=lambda e: -(covers[e] & undom).bit_count())
         for e in cands:
             chosen.append(e)
-            search(undom & ~covers[e])
+            yield undom & ~covers[e]
             chosen.pop()
 
-    search(want)
+    frames: list[Iterator[int]] = [iter((want,))]
+    while frames:
+        undom = next(frames[-1], -1)
+        if undom < 0:
+            frames.pop()
+        elif not undom:
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                best_wit = tuple(sorted(chosen))
+        elif len(chosen) + lower_bound(undom) < best_size:
+            frames.append(branch(undom))
     return best_size, best_wit
 
 

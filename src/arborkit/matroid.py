@@ -64,6 +64,11 @@ class _ForestPartition:
     (edge, previous owner, new owner), with None as the previous owner of
     the inserted edge. snapshot() is a mark into the log; restore(mark)
     reverses the moves logged after it, newest first.
+
+    No forest ever holds a loop: its circuit is [] in every forest, so
+    try_insert never places one, and the one-forest remainder of the bounded
+    search sees loop-free graphs only. _add and _remove rely on that, and
+    _assert_forest raises if a loop is ever placed.
     """
 
     def __init__(self, graph: Graph, k: int):
@@ -95,15 +100,13 @@ class _ForestPartition:
     def _add(self, j: int, eid: int) -> None:
         u, v = self.graph.endpoints[eid]
         self.adj[j].setdefault(u, []).append((eid, v))
-        if u != v:
-            self.adj[j].setdefault(v, []).append((eid, u))
+        self.adj[j].setdefault(v, []).append((eid, u))
         self.owner[eid] = j
 
     def _remove(self, j: int, eid: int) -> None:
         u, v = self.graph.endpoints[eid]
         self.adj[j][u].remove((eid, v))
-        if u != v:
-            self.adj[j][v].remove((eid, u))
+        self.adj[j][v].remove((eid, u))
         del self.owner[eid]
 
     def _forest_path(self, j: int, source: int, target: int) -> list[int] | None:

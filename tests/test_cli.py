@@ -192,6 +192,16 @@ def test_decompose_graph_remainder_gate_exit(graph_file, capsys, monkeypatch):
     assert "desk-scale limit" in captured.err
 
 
+def test_decompose_deep_path_answers(graph_file, capsys, monkeypatch):
+    # past a raised gate the bounded search answers; no search recurses
+    monkeypatch.setenv("ARBORKIT_MAX_EDGES", "1500")
+    f = graph_file("deep.txt", path(1501))
+    assert main(["decompose", f, "--k", "1", "--remainder", "graph", "--d", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("status: ok\n")
+    assert captured.err == ""
+
+
 def test_domination_values(graph_file, capsys):
     f = graph_file("c6.txt", cycle(6))
     assert main(["domination", f, "--kind", "edge"]) == 0

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,26 @@ def test_maximal_matchings_atlas_sample(atlas_corpus):
         got = list(maximal_matchings(g))
         assert len(got) == len(set(got))
         assert set(got) == set(maximal_matchings_brute(g))
+
+
+# SHA-256 of every maximal_matchings sequence over the atlas and multigraph
+# corpora, each matching as its sorted edge ids; a change to the order in
+# which the enumerator tries its choices moves it
+MATCHING_ORDER_DIGEST = "0bf28d47387dc48b8869cae7f1dcaaa901e26ae39976618eb6e22dd3630790a6"
+
+
+def test_maximal_matchings_order_frozen(atlas_corpus, multigraph_corpus):
+    # the order, not only the set: decompose_forests_matching returns the
+    # decomposition of the first matching that leaves k forests
+    digest = hashlib.sha256()
+    count = 0
+    for g in atlas_corpus + multigraph_corpus:
+        for matching in maximal_matchings(g):
+            digest.update(repr(sorted(matching)).encode())
+            count += 1
+        digest.update(b";")
+    assert count == 20073
+    assert digest.hexdigest() == MATCHING_ORDER_DIGEST
 
 
 def test_maximal_matchings_edge_cases():
@@ -139,6 +160,17 @@ def test_bounded_decomposition_forest_gate(monkeypatch):
     for kind in ("forest", "graph"):
         with pytest.raises(DeskScaleExceeded):
             decompose_forests_bounded(long_path, 1, 1, kind)
+
+
+@pytest.mark.parametrize("kind", ["graph", "forest"])
+def test_bounded_decomposition_of_a_deep_path(kind, monkeypatch):
+    # one branch point per edge: 1,500 of them lie on the search's frame
+    # list, deeper than the interpreter's default recursion limit
+    monkeypatch.setenv("ARBORKIT_MAX_EDGES", "1500")
+    long_path = path(1501)
+    dec = decompose_forests_bounded(long_path, 1, 1, kind)
+    assert dec is not None
+    assert verify_decomposition(long_path, dec, 1, 1) == (True, None)
 
 
 def test_remainder_witness_counts():
