@@ -22,12 +22,13 @@ The threshold test gamma_f <= p/q peels first: greedy min-degree peeling
 (Charikar 2000) walks a chain of ever smaller vertex sets, and the test
 rejects at once if one of them has q |E(S)| > p (|S| - 1), checked exactly
 in integers. Only when no peeled set is that dense does it solve min cuts,
-so acceptance is always decided by a flow. One peel loop serves the
-threshold test, the start of the density loop and the generator's draws.
-It takes the first vertex from a scan of the degrees and each later one
-from a heap of (degree, vertex) keys with lazy deletion, built with the
-adjacency lists at the first decrement. The least live entry is the lowest
-vertex of least degree, the scan's pick, and the peel takes O(n + m log n).
+so acceptance is always decided by a flow. One peel loop, _peel, serves
+the threshold test, the density loop's start, both cores, the remainder
+witness and the generator's draws. It takes the first vertex from a scan
+of the degrees and each later one from a heap of (degree, vertex) keys
+with lazy deletion, built with the adjacency lists for the third set. The
+least live entry is the lowest vertex of least degree, the scan's pick,
+and the peel takes O(n + m log n).
 Neither the density loop nor the peel walks vertices that no edge touches,
 so a sparse graph with a huge vertex count costs what its edges cost.
 
@@ -44,8 +45,13 @@ ceil(lambda0)-core; the core is relabelled in vertex order, which keeps the
 value and the witness. For the threshold test at bound b, an
 inclusion-minimal set of largest positive excess has every inside degree
 above b, so it lies in the (floor(b) + 1)-core, and an empty core answers
-"yes". The core takes one O(n + m) pass, so a sparse tail on a small dense
-knot costs no flows.
+"yes". The peel visits the vertices in core order (Batagelj and Zaversnik
+2003): the k-core is the live set just before the first step that peels a
+vertex of k or more live neighbours, empty when none does. There every
+live degree is at least k, and each vertex peeled before had fewer than k
+neighbours in a superset of the core. The chain runs down to one vertex,
+so the step that splits the last pair counts too, with the pair's
+multiplicity as its degree. A sparse tail on a dense knot costs no flows.
 
 arboricity partitions into k = 1, 2, ... forests until a partition exists.
 Its witness is the vertex set S of the violating edge set T of the last
@@ -59,7 +65,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Iterable
 
 from .flow import MaxFlow
 from .graphs import Graph
@@ -109,9 +114,8 @@ def _edges_within(graph: Graph, vertices: set[int] | frozenset[int]) -> int:
     return sum(1 for u, v in graph.endpoints if u in vertices and v in vertices)
 
 
-def _density(graph: Graph, vertices: Iterable[int]) -> Fraction:
-    verts = frozenset(vertices)
-    return Fraction(_edges_within(graph, verts), len(verts) - 1)
+def _density(graph: Graph, vertices: frozenset[int]) -> Fraction:
+    return Fraction(_edges_within(graph, vertices), len(vertices) - 1)
 
 
 def _touched_pairs(graph: Graph) -> tuple[list[int], list[tuple[int, int]]]:
@@ -127,26 +131,18 @@ def _touched_pairs(graph: Graph) -> tuple[list[int], list[tuple[int, int]]]:
     return used, pairs
 
 
-def _core(n: int, pairs: list[tuple[int, int]], k: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """The k-core of the sorted (lower, upper) pairs on 0..n-1: its vertices
-    in increasing order, and the pairs among them relabelled onto their
-    positions, still sorted. Vertices of degree below k are dropped until
-    none is left, in O(n + m); parallel edges count with multiplicity."""
-    deg = [0] * n
-    adj = [[] for _ in range(n)]
-    for u, v in pairs:
-        deg[u] += 1
-        deg[v] += 1
-        adj[u].append(v)
-        adj[v].append(u)
-    drop = [x for x in range(n) if deg[x] < k]
-    while drop:
-        for w in adj[drop.pop()]:
-            deg[w] -= 1
-            # a vertex falls below k once, and is dropped then
-            if deg[w] == k - 1:
-                drop.append(w)
-    kept = [x for x in range(n) if deg[x] >= k]
+def _core(pairs: list[tuple[int, int]], chain: list, k: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """The k-core (k >= 1) of the sorted pairs, read off their peeling chain
+    (the list of _peel's sets; see the module docstring): its vertices in
+    order, and the pairs among them relabelled onto their positions."""
+    out = set()  # with the first set's v = -1, which is no vertex
+    for _, _, v, d in chain:
+        if d >= k:
+            break
+        out.add(v)
+    else:
+        return [], []
+    kept = [x for x in range(len(chain)) if x not in out]
     index = {x: i for i, x in enumerate(kept)}
     return kept, [(index[u], index[v]) for u, v in pairs if u in index and v in index]
 
@@ -166,12 +162,9 @@ def _improving_subset(
     density and moves only to the densities of real sets), the largest
     densest set, the one with the lowest lowest vertex on a tie.
 
-    One min cut is solved per vertex v, in the order v = 0, 1, ...: v is free
-    of the per-vertex charge, so the cut weighs |E(S)| - lam (|S| - 1) over
-    the sets S whose lowest vertex is v. A set holding a vertex below v was
-    weighed at that vertex already, so the flow for v is built only over the
-    edges among v..n-1 and their endpoints; a v that is the lower endpoint of
-    no edge is skipped, and the loop ends with the last such v.
+    One min cut is solved per vertex v = 0, 1, ..., over the edges among
+    v..n-1 (see the module docstring); a v that is the lower endpoint of no
+    edge is skipped.
 
     An improving set is the minimal min-cut source side of the first vertex
     whose flow reaches the largest excess; it fixes the next lam, never the
@@ -230,9 +223,14 @@ def fractional_arboricity(graph: Graph) -> FracArbResult:
         return FracArbResult(value=Fraction(0), witness_vertices=frozenset())
     used, pairs = _touched_pairs(graph)
     n = len(used)
-    # the densest set on the peeling chain is a real set: at most gamma_f
-    lam = Fraction(*_peeling_exceeds(n, pairs, _density_limits(n, 0, 1), densest=True))
-    kept, pairs = _core(n, pairs, math.ceil(lam))
+    # the densest chain set (the largest on a tie) is real: at most gamma_f
+    chain = list(_peel(n, pairs))
+    top, low = 0, 1
+    for size, inside, _, _ in chain:
+        if inside * low > top * (size - 1):
+            top, low = inside, size - 1
+    lam = Fraction(top, low)
+    kept, pairs = _core(pairs, chain, math.ceil(lam))
     steps = 0
     while True:
         steps += 1
@@ -258,68 +256,59 @@ def _density_limits(n: int, p: int, q: int) -> list[int]:
     return [p * (s - 1) // q for s in range(n + 1)]
 
 
-def _peeling_exceeds(
-    n: int, endpoints, limit: list[int], densest: bool = False, members: bool = False
-) -> tuple[int, int] | frozenset[int] | None:
-    """A set S left by min-degree peeling with |E(S)| > limit[|S|]: the first
-    such set on the chain, as the pair (|E(S)|, |S| - 1), or with members as
-    its vertex set; None when no set on the chain exceeds its limit.
-
-    With densest, limit is _density_limits(n, p, q) and the result is the
-    densest set on the chain (the largest on a tie) if it is denser than
-    p / q: after the first set found, a set must beat the best pair so far,
-    checked by one cross-multiplication.
-
-    Takes the raw pairs of a loop-free multigraph on 0..n-1, in any order:
-    ties go to the lowest vertex, so the order of the pairs does not matter.
-    Parallel edges count with multiplicity. Each set is checked exactly, so
-    with density limits a set proves gamma_f > p / q; None decides nothing.
+def _peel(n: int, endpoints):
+    """Min-degree peeling of the raw pairs of a loop-free multigraph on
+    0..n-1, in any order (ties go to the lowest vertex; parallel edges count
+    with multiplicity). Yields (size, inside, v, d) for each set on the
+    chain, from all n vertices down to one: its size, its edge count, the
+    vertex peeled to reach it and that vertex's live degree (v = -1 and
+    d = 0 for the first set); nothing for n < 2.
     """
+    if n < 2:
+        return
     deg = [0] * n
     for u, v in endpoints:
         deg[u] += 1
         deg[v] += 1
     total = inside = len(endpoints)
+    yield n, inside, -1, 0
     # a live degree is at most |E|; a peeled vertex starts at 2 |E| + 1 and
     # loses at most its degree afterwards, so it stays above every live one
     gone = 2 * total + 1
-    found = None
-    adj = heap = None
-    low = -1
-    for size in range(n, 1, -1):
-        # only densest goes on past the first set found
-        if (inside * found[1] > found[0] * (size - 1)) if found else (inside > limit[size]):
-            if members:
-                return frozenset(x for x, dx in enumerate(deg) if dx <= total)
-            found = (inside, size - 1)
-            if not densest:
-                return found
-        if low < 0:
-            low = deg.index(min(deg))
-        else:
-            # the last peeled vertex's neighbours lose their degree only
-            # after the size check, so a chain that ends at its first peeled
-            # set never builds adj or the heap
-            if adj is None:
-                adj = [[] for _ in range(n)]
-                for u, v in endpoints:
-                    adj[u].append(v)
-                    adj[v].append(u)
-                # entry d n + x orders by degree d, then by vertex x
-                heap = [dx * n + x for x, dx in enumerate(deg) if dx <= total]
-                heapify(heap)
-            for w in adj[low]:
-                deg[w] -= 1
-                if deg[w] <= total:
-                    heappush(heap, deg[w] * n + w)
-            # an entry is stale once its vertex has a lower degree or is
-            # peeled; the least live one is the lowest vertex of least degree
-            dx, low = divmod(heappop(heap), n)
-            while deg[low] != dx:
-                dx, low = divmod(heappop(heap), n)
-        inside -= deg[low]
+    low = deg.index(min(deg))
+    inside -= deg[low]
+    yield n - 1, inside, low, deg[low]
+    deg[low] = gone
+    adj = [[] for _ in range(n)]
+    for u, v in endpoints:
+        adj[u].append(v)
+        adj[v].append(u)
+    # entry d n + x orders by degree d, then by vertex x
+    heap = [dx * n + x for x, dx in enumerate(deg) if dx <= total]
+    heapify(heap)
+    for size in range(n - 2, 0, -1):
+        for w in adj[low]:
+            deg[w] -= 1
+            if deg[w] <= total:
+                heappush(heap, deg[w] * n + w)
+        # an entry is stale once its vertex has a lower degree or is
+        # peeled; the least live one is the lowest vertex of least degree
+        d, low = divmod(heappop(heap), n)
+        while deg[low] != d:
+            d, low = divmod(heappop(heap), n)
+        inside -= d
         deg[low] = gone
-    return found
+        yield size, inside, low, d
+
+
+def _peeling_exceeds(n: int, endpoints, limit: list[int]) -> tuple[int, int] | None:
+    """The first set S on the peeling chain with |E(S)| > limit[|S|], as
+    (|E(S)|, |S| - 1), or None, which decides nothing; limit[1] >= 0, as one
+    vertex has no edge. With density limits, S proves gamma_f > p / q."""
+    for size, inside, _, _ in _peel(n, endpoints):
+        if inside > limit[size]:
+            return inside, size - 1
+    return None
 
 
 def fractional_arboricity_at_most(graph: Graph, bound) -> bool:
@@ -344,10 +333,14 @@ def fractional_arboricity_at_most(graph: Graph, bound) -> bool:
     # peel of the other vertices, relabelled in order, decides the same
     used, pairs = _touched_pairs(graph)
     n = len(used)
-    if _peeling_exceeds(n, pairs, _density_limits(n, bound.numerator, bound.denominator)):
-        return False
+    limit = _density_limits(n, bound.numerator, bound.denominator)
+    chain = []
+    for step in _peel(n, pairs):
+        if step[1] > limit[step[0]]:
+            return False
+        chain.append(step)
     # a set of positive excess leaves one with every inside degree > bound
-    _, pairs = _core(n, pairs, math.floor(bound) + 1)
+    _, pairs = _core(pairs, chain, math.floor(bound) + 1)
     return not _improving_subset(pairs, bound, stop_at_first=True)[0]
 
 

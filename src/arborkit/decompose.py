@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .arboricity import _edges_within, _peeling_exceeds, _touched_pairs
+from .arboricity import _edges_within, _peel, _touched_pairs
 from .graphs import Graph, check_edge_subset, graph_stats
 from .limits import BOUNDED_SEARCH_DEFAULT, check_gate
 from .matroid import _ForestPartition, matroid_partition
@@ -155,12 +155,15 @@ def remainder_witness(
     _check_request(graph, k, kind, d)
     used, pairs = _touched_pairs(graph)
     limit = [k * (s - 1) + _remainder_cap(kind, d, s) for s in range(len(used) + 1)]
-    found = _peeling_exceeds(len(used), pairs, limit, members=True)
-    if found is None:
+    peeled = set()  # with the first set's v = -1, which is no vertex
+    for size, inside, v, _ in _peel(len(used), pairs):
+        peeled.add(v)
+        if inside > limit[size]:
+            break
+    else:
         return None
-    witness = frozenset(used[x] for x in found)
-    s = len(witness)
-    if _edges_within(graph, witness) <= k * (s - 1) + _remainder_cap(kind, d, s):
+    witness = frozenset(x for i, x in enumerate(used) if i not in peeled)
+    if _edges_within(graph, witness) <= limit[len(witness)]:
         raise AssertionError("internal error: the remainder witness is not over its edge bound")
     return witness
 

@@ -56,6 +56,8 @@ class ExperimentConfig:
         if self.selector == "custom":
             if self.custom_bound is None:
                 raise ValueError("selector custom needs an explicit bound")
+            for n in self.n_values:  # the generator's own checks, before any cell runs
+                GenSpec(n, self.custom_bound)
             if self.remainder not in REMAINDER_KINDS:
                 raise ValueError(f"remainder must be one of {REMAINDER_KINDS}")
             if self.remainder != "matching" and (self.d is None or self.d < 1):

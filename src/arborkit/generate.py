@@ -41,8 +41,9 @@ masks, the vertices touched at least once and at least twice (parallel
 edges count twice, as in the peel), reject each draw with a vertex of
 degree below min(t, 2) before the peel. A vertex of degree 0 always
 qualifies, as GenSpec asks for bound >= 1: m >= floor(p (n - 2) / q) + 1,
-so t >= 1. (At n = 2 the peel checks no one-vertex set, but there both
-vertices have degree m = t.)
+so t >= 1. (At n = 2 the one-vertex set that the peel's first step leaves
+has no edge, so it is never over its limit 0, and there both vertices have
+degree m = t.)
 """
 
 from __future__ import annotations

@@ -82,6 +82,20 @@ def reference_peel(n, pairs, limit, densest=False, members=False):
     return max(over, key=lambda found: Fraction(*found))
 
 
+def brute_core(n, pairs, k):
+    """The k-core of a loop-free multigraph on 0..n-1 as a vertex set: recount
+    the degrees inside the live set and drop every vertex with fewer than k
+    live neighbours (parallel edges count with multiplicity), until none is
+    left."""
+    live = set(range(n))
+    while True:
+        inside = [(u, v) for u, v in pairs if u in live and v in live]
+        low = {x for x in live if sum((u == x) + (v == x) for u, v in inside) < k}
+        if not low:
+            return frozenset(live)
+        live -= low
+
+
 def brute_canonical_witness(graph):
     """(gamma_f, W) of a loop-free graph with an edge: W is the largest
     vertex set of density gamma_f, and on a tie in size the one whose

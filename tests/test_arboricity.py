@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arborkit import (
     Graph,
@@ -17,7 +17,7 @@ from arborkit import (
     is_infinite,
     partition_into_forests,
 )
-from arborkit.arboricity import _density_limits, _peeling_exceeds
+from arborkit.arboricity import _core, _density_limits, _peel, _peeling_exceeds
 from helpers import (
     complete_bipartite,
     complete_graph,
@@ -29,7 +29,7 @@ from helpers import (
     petersen,
     star,
 )
-from oracles import brute_canonical_witness, brute_frac_arboricity, reference_peel
+from oracles import brute_canonical_witness, brute_core, brute_frac_arboricity, reference_peel
 
 
 FROZEN_FRAC = [
@@ -354,21 +354,51 @@ def test_peeling_witness_is_sound_and_order_free(drawn, p, q, data):
     assert _peeling_exceeds(n, data.draw(st.permutations(edges)), limit) == exceeds
 
 
+def _chain_reads(n, edges, limit):
+    """What the library reads off _peel's chain: the first set over its limit
+    as (|E(S)|, |S| - 1) and as its vertex set, None when no set is over, and
+    the densest pair on the chain, the largest set on a tie."""
+    chain = list(_peel(n, edges))
+    assert [size for size, _, _, _ in chain] == list(range(n, 0, -1))
+    peeled, first, members = set(), None, None
+    top, low = 0, 1
+    for size, inside, v, _ in chain:
+        peeled.add(v)
+        if first is None and inside > limit[size]:
+            first, members = (inside, size - 1), frozenset(range(n)) - peeled
+        if inside * low > top * (size - 1):
+            top, low = inside, size - 1
+    return first, members, (top, low)
+
+
 @settings(max_examples=300, deadline=None)
 @given(loop_free_pair_lists(), st.integers(1, 16), st.integers(1, 6), st.data())
 def test_peeling_matches_the_reference_peel(drawn, p, q, data):
     n, edges = drawn
     density = _density_limits(n, p, q)
-    assert _peeling_exceeds(n, edges, density) == reference_peel(n, edges, density)
-    assert _peeling_exceeds(n, edges, density, densest=True) == reference_peel(
-        n, edges, density, densest=True
-    )
+    first, _, densest = _chain_reads(n, edges, density)
+    assert first == _peeling_exceeds(n, edges, density) == reference_peel(n, edges, density)
+    # the densest set on the chain is over p / q when any set is
+    assert reference_peel(n, edges, density, densest=True) == (densest if first else None)
     # the remainder witness peels against limits that are no density
     limit = data.draw(st.lists(st.integers(0, 14), min_size=n + 1, max_size=n + 1))
-    assert _peeling_exceeds(n, edges, limit) == reference_peel(n, edges, limit)
-    assert _peeling_exceeds(n, edges, limit, members=True) == reference_peel(
-        n, edges, limit, members=True
-    )
+    first, members, _ = _chain_reads(n, edges, limit)
+    assert first == _peeling_exceeds(n, edges, limit) == reference_peel(n, edges, limit)
+    assert members == reference_peel(n, edges, limit, members=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(loop_free_pair_lists(), st.integers(1, 6))
+@example((5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 2)  # an empty core
+@example((4, [(0, 1)] * 3 + [(1, 2), (2, 3)]), 3)  # a pair of multiplicity k
+@example((4, [(0, 1), (0, 2), (1, 2), (2, 3)] * 2), 6)  # k above every degree
+def test_core_read_off_the_chain_is_the_k_core(drawn, k):
+    n, edges = drawn
+    pairs = sorted((min(e), max(e)) for e in edges)
+    core = brute_core(n, edges, k)
+    kept, inside = _core(pairs, list(_peel(n, edges)), k)
+    assert kept == sorted(core)
+    assert inside == [(kept.index(u), kept.index(v)) for u, v in pairs if u in core and v in core]
 
 
 def _knot_with_tail(n):
@@ -381,7 +411,7 @@ def test_peeling_is_not_quadratic(shape):
     # a forest never exceeds density 1, so the peel walks its whole chain;
     # a scan of every degree per peeled vertex takes minutes here. The knot's
     # chain sheds the tail's end at each step, (10 + j) edges on 4 + j, so it
-    # grows denser at every step and densest mode finds a new best each time
+    # grows denser at every step and the densest read finds a new best each time
     n = 50000
     if shape == "knot":
         edges, bound, densest = _knot_with_tail(n), (5, 2), (10, 4)
@@ -389,8 +419,9 @@ def test_peeling_is_not_quadratic(shape):
         edges = [(v, v + 1) if shape == "path" else (0, v + 1) for v in range(n - 1)]
         bound, densest = (1, 1), (n - 1, n - 1)
     start = time.perf_counter()
-    assert _peeling_exceeds(n, edges, _density_limits(n, *bound)) is None
-    assert _peeling_exceeds(n, edges, _density_limits(n, 0, 1), densest=True) == densest
+    limit = _density_limits(n, *bound)
+    assert _peeling_exceeds(n, edges, limit) is None
+    assert _chain_reads(n, edges, limit) == (None, None, densest)
     assert time.perf_counter() - start < 2.0
 
 

@@ -36,6 +36,13 @@ def test_selector_validation():
         small_config(k_values=(0,))
 
 
+def test_custom_bound_below_one_is_refused_before_any_cell():
+    # the n = 1 cell would run before the generator refused n = 5
+    with pytest.raises(ValueError, match="target_bound must be at least 1 when n > 1"):
+        small_config(selector="custom", custom_bound=Fraction(1, 2), n_values=(1, 5), trials=1)
+    assert small_config(selector="custom", custom_bound=Fraction(1, 2), n_values=(0, 1)).n_values == (0, 1)
+
+
 def test_cell_bounds_per_selector():
     assert small_config().cell_bound(1) == Fraction(6, 5)
     assert small_config().cell_bound(2) == Fraction(17, 8)
