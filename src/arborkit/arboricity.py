@@ -10,7 +10,30 @@ per-vertex charge, which makes the "-1" in the denominator exact rather
 than approximate (Picard and Queyranne 1982). The flow for v is built over
 the edges among v..n-1 alone: a set with a lower vertex was weighed at
 that vertex already (vertex elimination, as in Gabow's parametric flows,
-1998). Every step either produces a strictly denser subset or certifies
+1998).
+
+Each min cut runs on a load network with n + 2 nodes, the source, the sink
+and one per vertex, and one arc per edge (Hakimi 1965; Goldberg 1984). At
+lambda = p/q with free vertex r, each edge puts q units of load on one
+endpoint, never on r, and an arc of capacity q lets them move to the other.
+A vertex x has room c_x, which is p, or 0 for r; with L_x its load, an
+overloaded vertex gets a source arc of L_x - c_x and an underloaded one a
+sink arc of c_x - L_x; overload is the sum of those L_x - c_x. A source
+side S (the source plus a vertex set) cuts the source arcs outside S, the
+sink arcs inside, and the arc of q of each edge loaded inside S with its
+other end outside, a leaving edge. So the cut is overload minus the sum of
+L_x - c_x over S, plus q per leaving edge. The load inside S is q |E(S)|
+plus q per leaving edge, so the cut is
+    overload - (q |E(S)| - p (|S| - [r in S])),
+overload minus the excess of S, and the largest excess is overload minus
+the max flow. The classic edge-node network (a source arc of q per edge
+node and two uncuttable arcs to its endpoints) cuts q |E| minus the same
+excess at its best edge nodes. The two cut functions differ by a constant,
+so they have the same minimizers, and the minimal and the maximal min-cut
+source sides are the same sets in both. Which endpoint takes an edge's
+load moves only the constant.
+
+Every step either produces a strictly denser subset or certifies
 that none beats lambda, so the candidate densities visited strictly
 increase and the loop ends after at most the number of distinct densities.
 The witness comes from the certifying pass alone: the largest maximal
@@ -163,8 +186,12 @@ def _improving_subset(
     densest set, the one with the lowest lowest vertex on a tie.
 
     One min cut is solved per vertex v = 0, 1, ..., over the edges among
-    v..n-1 (see the module docstring); a v that is the lower endpoint of no
-    edge is skipped.
+    v..n-1, on the load network of the module docstring; a v that is the
+    lower endpoint of no edge is skipped. Nodes: 0 source, 1 sink, then one
+    per vertex in order, v first. Each edge loads its endpoint with the
+    smaller load so far, the upper one on a tie or when the lower one is v,
+    which keeps the overload, and so the flow, small; the loaded endpoint
+    gets the edge's arc.
 
     An improving set is the minimal min-cut source side of the first vertex
     whose flow reaches the largest excess; it fixes the next lam, never the
@@ -182,19 +209,28 @@ def _improving_subset(
         if start and pairs[start - 1][0] == free:
             continue
         edges = pairs[start:]
-        m = len(edges)
         verts = sorted({x for e in edges for x in e})
-        # nodes: 0 source, 1 sink, 2..2+m-1 edge nodes, then one per vertex
-        node = {x: 2 + m + i for i, x in enumerate(verts)}
-        big = q * m + p * len(verts) + 1
-        net = MaxFlow(2 + m + len(verts))
-        for e, (u, v) in enumerate(edges, 2):
-            net.add_edge(0, e, q)
-            net.add_edge(e, node[u], big)
-            net.add_edge(e, node[v], big)
-        for x in verts[1:]:  # verts[0] is free
-            net.add_edge(node[x], 1, p)
-        excess = q * m - net.max_flow(0, 1)
+        # nodes: 0 source, 1 sink, then one per vertex in order
+        node = {x: i for i, x in enumerate(verts, 2)}
+        count = 2 + len(verts)
+        net = MaxFlow(count)
+        load = [0] * count
+        for u, v in edges:
+            a, b = node[u], node[v]
+            # the free vertex holds no load, else the lighter end takes it
+            if u == free or load[b] <= load[a]:
+                a, b = b, a
+            load[a] += q
+            net.add_edge(a, b, q)
+        overload = 0
+        for a in range(3, count):  # node 2 is free, with no room and no load
+            room = p - load[a]
+            if room < 0:
+                overload -= room
+                net.add_edge(0, a, -room)
+            elif room:
+                net.add_edge(a, 1, room)
+        excess = overload - net.max_flow(0, 1)
         if excess > best_excess:
             if stop_at_first:
                 return True, None

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -483,3 +484,36 @@ def test_core_keeps_the_value_witness_and_threshold(graph):
     value = brute_frac_arboricity(graph)
     assert fractional_arboricity_at_most(graph, value)
     assert not fractional_arboricity_at_most(graph, value - Fraction(1, 1000))
+
+
+@st.composite
+def load_network_multigraphs(draw):
+    """Edge cases of the min cuts' load network, on up to 8 vertices, with
+    the vertices below the lowest touched one isolated: a star bundle, whose
+    every edge meets that lowest vertex, so it holds no load and every share
+    sits on a leaf; or up to ten random edges beside one pair repeated 2..5
+    times, a pair above every integer bound below its multiplicity."""
+    n = draw(st.integers(3, 8))
+    low = draw(st.integers(0, n - 3))
+    if draw(st.booleans()):
+        edges = [(low, x) for x in draw(st.lists(st.integers(low + 1, n - 1), min_size=1, max_size=12))]
+    else:
+        pair = st.lists(st.integers(low, n - 1), min_size=2, max_size=2, unique=True).map(tuple)
+        edges = [draw(pair)] * draw(st.integers(2, 5)) + draw(st.lists(pair, max_size=10))
+    return Graph(n, tuple(sorted(tuple(sorted(e)) for e in edges)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(load_network_multigraphs())
+@example(complete_graph(4))  # at bound 2 one vertex is left with zero room
+@example(Graph(4, ((1, 2), (1, 2), (1, 3), (1, 3))))  # a star bundle, all at zero room
+@example(disjoint_union(complete_graph(5), Graph(2, ((0, 1),) * 3)))  # only a flow finds the pair
+def test_load_network_edge_cases(graph):
+    res = fractional_arboricity(graph)
+    assert (res.value, res.witness_vertices) == brute_canonical_witness(graph)
+    value = brute_frac_arboricity(graph)
+    eps = Fraction(1, 997)
+    # at an integer bound q = 1, so a vertex whose load is p gets no source
+    # arc and no sink arc
+    for bound in (value, value - eps, value + eps, *range(1, math.ceil(value) + 2)):
+        assert fractional_arboricity_at_most(graph, bound) == (value <= bound), bound
