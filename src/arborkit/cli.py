@@ -18,6 +18,7 @@ from .arboricity import arboricity, fractional_arboricity, partition_into_forest
 from .decompose import (
     REMAINDER_KINDS,
     Decomposition,
+    check_remainder,
     decompose_forests_bounded,
     decompose_forests_matching,
     remainder_witness,
@@ -118,12 +119,11 @@ def _decomposition_doc(dec: Decomposition, k: int) -> dict:
 def cmd_decompose(args) -> int:
     graph = _load_graph(args.file)
     if args.remainder == "matching":
+        # the library lets a matching ignore d; the command refuses it
         if args.d is not None:
             raise ValueError("--d applies to forest and graph remainders only")
         dec = decompose_forests_matching(graph, args.k)
     else:
-        if args.d is None:
-            raise ValueError(f"--d is required for remainder {args.remainder!r}")
         dec = decompose_forests_bounded(graph, args.k, args.d, args.remainder)
     if dec is None:
         if args.json:
@@ -167,11 +167,6 @@ def _check_decomposition_doc(doc) -> None:
     d = doc.get("d")
     if d is not None and not _is_int(d):
         raise ValueError("decomposition 'd' must be an integer or null")
-    kind = doc.get("kind", "matching")
-    if kind not in REMAINDER_KINDS:
-        raise ValueError(
-            f"decomposition 'kind' must be one of {', '.join(REMAINDER_KINDS)}, got {kind!r}"
-        )
 
 
 def cmd_verify(args) -> int:
@@ -180,6 +175,9 @@ def cmd_verify(args) -> int:
     graph = _load_graph(args.file)
     doc = json.loads(Path(args.decomposition).read_text(encoding="utf-8"))
     _check_decomposition_doc(doc)
+    kind = doc.get("kind", "matching")
+    d = args.d if args.d is not None else doc.get("d")
+    check_remainder(kind, d)
     forests = tuple(frozenset(f) for f in doc["forests"])
     if doc.get("remainder") is not None:
         remainder = frozenset(doc["remainder"])
@@ -188,10 +186,6 @@ def cmd_verify(args) -> int:
         for f in forests:
             covered |= f
         remainder = graph.full_edge_set() - covered
-    kind = doc.get("kind", "matching")
-    d = args.d if args.d is not None else doc.get("d")
-    if kind != "matching" and (d is None or d < 1):
-        raise ValueError("a forest or graph remainder needs a degree bound d >= 1")
     dec = Decomposition(forests=forests, remainder=remainder, kind=kind, degree_bound=d)
     ok, reason = verify_decomposition(graph, dec, args.k, d)
     if ok:

@@ -128,11 +128,17 @@ def _remainder_cap(kind: str, d: int | None, s: int) -> int:
     return min(s - 1, d * s // 2)
 
 
-def _check_request(graph: Graph, k: int, kind: str, d: int | None) -> None:
+def check_remainder(kind: str, d: int | None) -> None:
+    """The remainder rule: a known kind, and a degree bound d >= 1 for a
+    forest or a graph. A matching ignores d."""
     if kind not in REMAINDER_KINDS:
-        raise ValueError(f"kind must be one of {', '.join(REMAINDER_KINDS)}, got {kind!r}")
+        raise ValueError(f"remainder kind must be one of {', '.join(REMAINDER_KINDS)}, got {kind!r}")
     if kind != "matching" and (d is None or d < 1):
-        raise ValueError("d must be a positive integer")
+        raise ValueError(f"a {kind} remainder needs a degree bound d >= 1")
+
+
+def _check_request(graph: Graph, k: int, kind: str, d: int | None) -> None:
+    check_remainder(kind, d)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if graph.has_loop():

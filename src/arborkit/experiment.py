@@ -3,15 +3,23 @@
 A sweep is a grid of (k, n) cells. Every trial seed derives from
 (seed, k, n, trial), so any row can be reproduced in isolation. Generator
 exhaustion and decomposition exhaustion are counted per cell, never fatal.
+
+Each selector reads only some of the optional settings: conjecture reads d;
+custom reads custom_bound and remainder, and d with a forest or graph
+remainder; theorem5, theorem2i and theorem2ii read none of them. A setting
+that the selector does not read is refused (exit 2 on the command line), so
+the report's config records only what its cells used. Building the config
+runs every cell's generator checks (GenSpec: n, the bound, whether the
+edges fit a simple graph), so a bad cell is refused before the first runs.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
-from .decompose import REMAINDER_KINDS, decompose_forests_bounded, decompose_forests_matching, verify_decomposition
+from .decompose import check_remainder, decompose_forests_bounded, decompose_forests_matching, verify_decomposition
 from .generate import GenSpec, GenerationError, derive_seed, generate
 from .rationals import format_value
 
@@ -51,17 +59,25 @@ class ExperimentConfig:
             raise ValueError("n values must be nonnegative")
         if self.selector in ("theorem2i", "theorem2ii") and any(k != 1 for k in self.k_values):
             raise ValueError(f"selector {self.selector} is defined for k=1 only")
-        if self.selector == "conjecture" and (self.d is None or self.d < 1):
-            raise ValueError("selector conjecture needs a positive d")
-        if self.selector == "custom":
-            if self.custom_bound is None:
-                raise ValueError("selector custom needs an explicit bound")
-            for n in self.n_values:  # the generator's own checks, before any cell runs
-                GenSpec(n, self.custom_bound)
-            if self.remainder not in REMAINDER_KINDS:
-                raise ValueError(f"remainder must be one of {REMAINDER_KINDS}")
-            if self.remainder != "matching" and (self.d is None or self.d < 1):
-                raise ValueError(f"remainder {self.remainder!r} needs a positive d")
+        if self.selector == "custom" and self.custom_bound is None:
+            raise ValueError("selector custom needs an explicit bound")
+        check_remainder(*self.cell_remainder())
+        reads, defaults = self._read_options(), {f.name: f.default for f in fields(self)}
+        for name in ("d", "custom_bound", "remainder"):
+            if name not in reads and getattr(self, name) != defaults[name]:
+                where = " with a matching remainder" if self.selector == "custom" else ""
+                raise ValueError(f"selector {self.selector} does not read {name}{where}")
+        for k in self.k_values:  # the generator's own checks, before any cell runs
+            for n in self.n_values:
+                GenSpec(n, self.cell_bound(k), self.allow_parallel, max_rejections=self.max_rejections)
+
+    def _read_options(self) -> tuple[str, ...]:
+        """The optional settings that this selector's cells read."""
+        if self.selector == "conjecture":
+            return ("d",)
+        if self.selector != "custom":
+            return ()
+        return ("custom_bound", "remainder") + (() if self.remainder == "matching" else ("d",))
 
     def cell_bound(self, k: int) -> Fraction:
         if self.selector == "theorem5":
@@ -81,23 +97,14 @@ class ExperimentConfig:
             return "forest", 2
         if self.selector == "conjecture":
             return "forest", self.d
-        if self.remainder == "matching":
-            return "matching", None
         return self.remainder, self.d
 
     def to_json(self) -> dict:
-        return {
-            "selector": self.selector,
-            "k_values": list(self.k_values),
-            "n_values": list(self.n_values),
-            "trials": self.trials,
-            "seed": self.seed,
-            "d": self.d,
-            "custom_bound": None if self.custom_bound is None else format_value(self.custom_bound),
-            "remainder": self.remainder,
-            "allow_parallel": self.allow_parallel,
-            "max_rejections": self.max_rejections,
-        }
+        doc = asdict(self)
+        doc.update(k_values=list(self.k_values), n_values=list(self.n_values))
+        if self.custom_bound is not None:
+            doc["custom_bound"] = format_value(self.custom_bound)
+        return doc
 
 
 @dataclass(frozen=True)
@@ -120,21 +127,14 @@ class CellResult:
         return self.exhausted == 0 and self.gen_failed == 0 and self.verified == self.attempted
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "bound": format_value(self.bound),
-            "remainder": self.remainder,
-            "d": self.d,
-            "attempted": self.attempted,
-            "generated": self.generated,
-            "decomposed": self.decomposed,
-            "verified": self.verified,
-            "exhausted": self.exhausted,
-            "gen_failed": self.gen_failed,
-            "success": f"{self.verified}/{self.attempted}",
-            "seconds": round(self.seconds, 3),
-        }
+        doc = asdict(self)
+        del doc["seconds"]  # re-added after success, in the report's key order
+        doc.update(
+            bound=format_value(self.bound),
+            success=f"{self.verified}/{self.attempted}",
+            seconds=round(self.seconds, 3),
+        )
+        return doc
 
 
 def _run_cell(args: tuple[ExperimentConfig, int, int]) -> CellResult:
@@ -202,35 +202,24 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[CellResult]:
     return rows
 
 
+# the text table's columns: every key of CellResult.to_json but attempted
 _COLUMNS = (
-    ("k", lambda r: str(r.k)),
-    ("n", lambda r: str(r.n)),
-    ("bound", lambda r: format_value(r.bound)),
-    ("remainder", lambda r: r.remainder),
-    ("d", lambda r: "-" if r.d is None else str(r.d)),
-    ("generated", lambda r: str(r.generated)),
-    ("decomposed", lambda r: str(r.decomposed)),
-    ("verified", lambda r: str(r.verified)),
-    ("exhausted", lambda r: str(r.exhausted)),
-    ("gen_failed", lambda r: str(r.gen_failed)),
-    ("success", lambda r: f"{r.verified}/{r.attempted}"),
-    ("seconds", lambda r: f"{r.seconds:.2f}"),
+    "k", "n", "bound", "remainder", "d", "generated", "decomposed",
+    "verified", "exhausted", "gen_failed", "success", "seconds",
 )
+
+
+def _cell_text(value) -> str:
+    if value is None:
+        return "-"
+    return f"{value:.2f}" if isinstance(value, float) else str(value)
 
 
 def emit_report(config: ExperimentConfig, rows: list[CellResult]) -> tuple[str, dict]:
     """Aligned text table plus the versioned JSON payload."""
-    cells = [[fn(r) for _, fn in _COLUMNS] for r in rows]
-    widths = [
-        max(len(name), *(len(row[i]) for row in cells)) if cells else len(name)
-        for i, (name, _) in enumerate(_COLUMNS)
-    ]
-    lines = ["  ".join(name.ljust(w) for (name, _), w in zip(_COLUMNS, widths)).rstrip()]
-    for row in cells:
-        lines.append("  ".join(val.ljust(w) for val, w in zip(row, widths)).rstrip())
-    payload = {
-        "schema": 1,
-        "config": config.to_json(),
-        "rows": [r.to_json() for r in rows],
-    }
+    docs = [r.to_json() for r in rows]
+    table = [_COLUMNS] + [[_cell_text(doc[name]) for name in _COLUMNS] for doc in docs]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = ["  ".join(val.ljust(w) for val, w in zip(row, widths)).rstrip() for row in table]
+    payload = {"schema": 1, "config": config.to_json(), "rows": docs}
     return "\n".join(lines) + "\n", payload

@@ -15,7 +15,8 @@ class MaxFlow:
         self.adj[u].append([v, cap, len(self.adj[v])])
         self.adj[v].append([u, 0, len(self.adj[u]) - 1])
 
-    def _levels(self, s: int, t: int) -> list[int] | None:
+    def _levels(self, s: int) -> list[int]:
+        """Breadth-first levels from s over the residual arcs, -1 where unreached."""
         level = [-1] * self.node_count
         level[s] = 0
         queue = deque([s])
@@ -25,7 +26,7 @@ class MaxFlow:
                 if arc[1] > 0 and level[arc[0]] < 0:
                     level[arc[0]] = level[x] + 1
                     queue.append(arc[0])
-        return level if level[t] >= 0 else None
+        return level
 
     def _push(self, s: int, t: int, level: list[int], it: list[int]) -> int:
         # iterative DFS for one blocking-flow augmentation
@@ -59,8 +60,8 @@ class MaxFlow:
     def max_flow(self, s: int, t: int) -> int:
         total = 0
         while True:
-            level = self._levels(s, t)
-            if level is None:
+            level = self._levels(s)
+            if level[t] < 0:
                 return total
             it = [0] * self.node_count
             while True:
@@ -70,16 +71,9 @@ class MaxFlow:
                 total += pushed
 
     def min_cut_source_side(self, s: int) -> set[int]:
-        """Residual-reachable nodes after max_flow; a minimum cut's s-side."""
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for arc in self.adj[x]:
-                if arc[1] > 0 and arc[0] not in seen:
-                    seen.add(arc[0])
-                    queue.append(arc[0])
-        return seen
+        """Residual-reachable nodes after max_flow: the smallest source side
+        of a minimum cut."""
+        return {x for x, depth in enumerate(self._levels(s)) if depth >= 0}
 
     def min_cut_sink_side(self, t: int) -> set[int]:
         """Nodes that reach t in the residual graph after max_flow: the

@@ -132,8 +132,12 @@ class GenSpec:
             raise ValueError("max_rejections must be positive")
         if isinstance(self.target_bound, float):
             raise ValueError("target_bound must be exact (an int or a Fraction), not a float")
-        if self.n > 1 and self.target_bound < 1:
-            raise ValueError("target_bound must be at least 1 when n > 1")
+        if self.n > 1:
+            if self.target_bound < 1:
+                raise ValueError("target_bound must be at least 1 when n > 1")
+            m = int(self.target_bound * (self.n - 1))
+            if not self.allow_parallel and m > self.n * (self.n - 1) // 2:
+                raise ValueError(f"{m} edges do not fit in a simple graph on {self.n} vertices")
 
 
 class GenerationError(RuntimeError):
@@ -203,8 +207,6 @@ def generate(spec: GenSpec) -> Graph:
     if n <= 1:
         return Graph(n, ())
     m = int(spec.target_bound * (n - 1))
-    if not spec.allow_parallel and m > n * (n - 1) // 2:
-        raise ValueError(f"{m} edges do not fit in a simple graph on {n} vertices")
     pair_of, picks, spans, limits, offsets = _draw_tables(n, m, spec.allow_parallel)
     density = _density_limits(n, *spec.target_bound.as_integer_ratio())
     # the peel's first step rejects a draw exactly when some vertex has

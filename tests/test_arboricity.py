@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from arborkit import (
     partition_into_forests,
 )
 from arborkit.arboricity import _core, _density_limits, _peel, _peeling_exceeds
+from arborkit.flow import MaxFlow
 from helpers import (
     complete_bipartite,
     complete_graph,
@@ -517,3 +519,34 @@ def test_load_network_edge_cases(graph):
     # arc and no sink arc
     for bound in (value, value - eps, value + eps, *range(1, math.ceil(value) + 2)):
         assert fractional_arboricity_at_most(graph, bound) == (value <= bound), bound
+
+
+def test_density_loop_improves_on_the_peeled_start(monkeypatch):
+    # the densest peeled set can be less dense than gamma_f; only then does
+    # the loop take an improving step, the one place that reads a minimal
+    # min-cut source side. Here the peel starts at 7/5 and gamma_f = 3/2.
+    steps = []
+    source_side = MaxFlow.min_cut_source_side
+
+    def counted(self, s):
+        steps.append(s)
+        return source_side(self, s)
+
+    monkeypatch.setattr(MaxFlow, "min_cut_source_side", counted)
+    graph = Graph(6, ((0, 1), (0, 4), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4)))
+    res = fractional_arboricity(graph)
+    assert steps
+    assert (res.value, res.witness_vertices) == (Fraction(3, 2), frozenset({0, 1, 4}))
+    # about 2% of random simple graphs on 5..9 vertices take such a step
+    rng = random.Random(5)
+    improved = 0
+    while improved < 12:
+        n = rng.randint(5, 9)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        graph = Graph(n, tuple(sorted(rng.sample(pairs, rng.randint(n - 1, 2 * n)))))
+        steps.clear()
+        res = fractional_arboricity(graph)
+        if steps:
+            improved += 1
+            assert res.value == brute_frac_arboricity(graph)
+            assert (res.value, res.witness_vertices) == brute_canonical_witness(graph)

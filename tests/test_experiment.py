@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from arborkit import CellResult, ExperimentConfig, emit_report, run_experiment
+import arborkit.experiment as experiment
+from arborkit.cli import main
 
 
 def small_config(**overrides):
@@ -122,3 +124,74 @@ def test_emit_report_with_no_rows():
     assert text.splitlines()[0].startswith("k")
     assert len(text.splitlines()) == 1
     assert payload["rows"] == []
+
+
+def test_cell_result_json_and_table_line_are_pinned():
+    row = CellResult(2, 9, Fraction(17, 8), "matching", None, 4, 3, 3, 2, 0, 1, 0.25)
+    assert list(row.to_json().items()) == [
+        ("k", 2), ("n", 9), ("bound", "17/8"), ("remainder", "matching"), ("d", None),
+        ("attempted", 4), ("generated", 3), ("decomposed", 3), ("verified", 2),
+        ("exhausted", 0), ("gen_failed", 1), ("success", "2/4"), ("seconds", 0.25),
+    ]
+    text, _ = emit_report(small_config(k_values=(2,), n_values=(9,)), [row])
+    assert text.splitlines()[1] == "2  9  17/8   matching   -  3          3           2         0          1           2/4      0.25"
+
+
+def test_config_json_is_pinned():
+    config = small_config(selector="custom", custom_bound=Fraction(7, 5), remainder="graph", d=3,
+                          k_values=(1, 2), n_values=(5, 6), allow_parallel=True, max_rejections=7)
+    assert list(config.to_json().items()) == [
+        ("selector", "custom"), ("k_values", [1, 2]), ("n_values", [5, 6]), ("trials", 3),
+        ("seed", 11), ("d", 3), ("custom_bound", "7/5"), ("remainder", "graph"),
+        ("allow_parallel", True), ("max_rejections", 7),
+    ]
+    assert list(small_config().to_json().items()) == [
+        ("selector", "theorem5"), ("k_values", [1]), ("n_values", [6]), ("trials", 3),
+        ("seed", 11), ("d", None), ("custom_bound", None), ("remainder", "matching"),
+        ("allow_parallel", False), ("max_rejections", 10000),
+    ]
+
+
+# (selector, the settings it needs, one setting it does not read)
+UNREAD = [
+    (selector, {}, unread)
+    for selector in ("theorem5", "theorem2i", "theorem2ii")
+    for unread in ({"d": 1}, {"custom_bound": Fraction(3, 2)}, {"remainder": "forest"})
+] + [
+    ("conjecture", {"d": 1}, {"custom_bound": Fraction(3, 2)}),
+    ("conjecture", {"d": 1}, {"remainder": "graph"}),
+    ("custom", {"custom_bound": Fraction(3, 2)}, {"d": 1}),
+    ("custom", {"custom_bound": Fraction(3, 2), "remainder": "matching"}, {"d": 2}),
+]
+FLAGS = {"d": "--d", "custom_bound": "--bound", "remainder": "--remainder"}
+
+
+@pytest.mark.parametrize("selector,needs,unread", UNREAD,
+                         ids=[f"{s}-{next(iter(u))}" for s, _, u in UNREAD])
+def test_a_setting_the_selector_does_not_read_is_refused(selector, needs, unread, capsys):
+    (name, value), = unread.items()
+    with pytest.raises(ValueError, match=f"does not read {name}"):
+        small_config(selector=selector, **needs, **unread)
+    argv = ["experiment", "--selector", selector, "--n-range", "5", "--seed", "0", "--trials", "1"]
+    for key, val in {**needs, **unread}.items():
+        argv += [FLAGS[key], str(val)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"does not read {name}" in err
+
+
+def test_every_cell_is_checked_before_any_draw(monkeypatch, capsys):
+    # theorem5 at k = 2 asks for 2 edges on 2 vertices; the k = 1 cells
+    # must not run first
+    draws = []
+    monkeypatch.setattr(experiment, "generate", lambda spec: draws.append(spec))
+    with pytest.raises(ValueError, match="2 edges do not fit in a simple graph on 2 vertices"):
+        small_config(k_values=(1, 2), n_values=(2,))
+    argv = ["experiment", "--selector", "theorem5", "--k-range", "1:2", "--n-range", "2:10",
+            "--trials", "1", "--seed", "0"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "2 edges do not fit" in err
+    assert draws == []
