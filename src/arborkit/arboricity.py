@@ -47,11 +47,11 @@ rejects at once if one of them has q |E(S)| > p (|S| - 1), checked exactly
 in integers. Only when no peeled set is that dense does it solve min cuts,
 so acceptance is always decided by a flow. One peel loop, _peel, serves
 the threshold test, the density loop's start, both cores, the remainder
-witness and the generator's draws. It takes the first vertex from a scan
-of the degrees and each later one from a heap of (degree, vertex) keys
-with lazy deletion, built with the adjacency lists for the third set. The
-least live entry is the lowest vertex of least degree, the scan's pick,
-and the peel takes O(n + m log n).
+witness and the generator's draws, and each of them walks its chain
+directly. One pass builds the adjacency lists, whose lengths are the
+degrees, and every peeled vertex is popped from a heap of (degree, vertex)
+keys with lazy deletion: the least live key is the lowest vertex of least
+degree, and the peel takes O(n + m log n).
 Neither the density loop nor the peel walks vertices that no edge touches,
 so a sparse graph with a huge vertex count costs what its edges cost.
 
@@ -302,31 +302,20 @@ def _peel(n: int, endpoints):
     """
     if n < 2:
         return
-    deg = [0] * n
-    for u, v in endpoints:
-        deg[u] += 1
-        deg[v] += 1
-    total = inside = len(endpoints)
-    yield n, inside, -1, 0
-    # a live degree is at most |E|; a peeled vertex starts at 2 |E| + 1 and
-    # loses at most its degree afterwards, so it stays above every live one
-    gone = 2 * total + 1
-    low = deg.index(min(deg))
-    inside -= deg[low]
-    yield n - 1, inside, low, deg[low]
-    deg[low] = gone
     adj = [[] for _ in range(n)]
     for u, v in endpoints:
         adj[u].append(v)
         adj[v].append(u)
+    deg = list(map(len, adj))
+    total = inside = len(endpoints)
+    yield n, inside, -1, 0
     # entry d n + x orders by degree d, then by vertex x
-    heap = [dx * n + x for x, dx in enumerate(deg) if dx <= total]
+    heap = [dx * n + x for x, dx in enumerate(deg)]
     heapify(heap)
-    for size in range(n - 2, 0, -1):
-        for w in adj[low]:
-            deg[w] -= 1
-            if deg[w] <= total:
-                heappush(heap, deg[w] * n + w)
+    # a live degree is at most |E|; a peeled vertex starts at 2 |E| + 1 and
+    # loses at most its degree afterwards, so it stays above every live one
+    gone = 2 * total + 1
+    for size in range(n - 1, 0, -1):
         # an entry is stale once its vertex has a lower degree or is
         # peeled; the least live one is the lowest vertex of least degree
         d, low = divmod(heappop(heap), n)
@@ -335,16 +324,10 @@ def _peel(n: int, endpoints):
         inside -= d
         deg[low] = gone
         yield size, inside, low, d
-
-
-def _peeling_exceeds(n: int, endpoints, limit: list[int]) -> tuple[int, int] | None:
-    """The first set S on the peeling chain with |E(S)| > limit[|S|], as
-    (|E(S)|, |S| - 1), or None, which decides nothing; limit[1] >= 0, as one
-    vertex has no edge. With density limits, S proves gamma_f > p / q."""
-    for size, inside, _, _ in _peel(n, endpoints):
-        if inside > limit[size]:
-            return inside, size - 1
-    return None
+        for w in adj[low]:
+            deg[w] -= 1
+            if deg[w] <= total:
+                heappush(heap, deg[w] * n + w)
 
 
 def fractional_arboricity_at_most(graph: Graph, bound) -> bool:
@@ -363,10 +346,9 @@ def fractional_arboricity_at_most(graph: Graph, bound) -> bool:
         return False
     if graph.edge_count == 0:
         return Fraction(0) <= bound
-    if bound <= 0:
-        return False
     # peeling takes isolated vertices first and they add no edge, so the
-    # peel of the other vertices, relabelled in order, decides the same
+    # peel of the other vertices, relabelled in order, decides the same; at
+    # a bound <= 0 the first set, with |E| >= 1 edges, is over its limit
     used, pairs = _touched_pairs(graph)
     n = len(used)
     limit = _density_limits(n, bound.numerator, bound.denominator)

@@ -3,7 +3,8 @@
 Exit codes: 0 for success or a verified/PASS result, 1 for negative
 verdicts (exhausted searches, INCONCLUSIVE or FAIL reports, failed
 verification, generator exhaustion), 2 for usage, input, and size-gate
-errors, and for input too large to fit in memory. Rationals always print
+errors, for an ARBORKIT_MAX_EDGES that is no integer (whatever the
+command), and for input too large to fit in memory. Rationals always print
 as "p/q", never as decimals.
 """
 
@@ -28,6 +29,7 @@ from .domination import edge_domination, two_path_domination
 from .experiment import SELECTORS, ExperimentConfig, emit_report, run_experiment
 from .generate import GenSpec, GenerationError, generate
 from .graphs import Graph, parse_graph, serialize_graph
+from .limits import _max_edges
 from .prooftrace import VERDICT_PASS, run_prooftrace
 from .rationals import format_value, parse_fraction
 
@@ -335,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", required=True, help="rational p/q")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--parallel-edges", action="store_true")
-    p.add_argument("--max-rejections", type=int, default=10000)
+    p.add_argument("--max-rejections", type=int, default=GenSpec.max_rejections)
     p.add_argument("-o", "--output", required=True, help="file path, or - for stdout")
     p.set_defaults(func=cmd_gen)
 
@@ -349,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", help="rational p/q (selector custom)")
     p.add_argument("--remainder", choices=REMAINDER_KINDS, default="matching")
     p.add_argument("--parallel-edges", action="store_true")
-    p.add_argument("--max-rejections", type=int, default=10000)
+    p.add_argument("--max-rejections", type=int, default=GenSpec.max_rejections)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", help="write the JSON report here, - for stdout")
     p.set_defaults(func=cmd_experiment)
@@ -361,6 +363,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _max_edges()  # refused up front, not only at a gated search
         return args.func(args)
     except GenerationError as exc:
         print(f"error: {exc}", file=sys.stderr)

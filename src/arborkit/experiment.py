@@ -8,7 +8,8 @@ Each selector reads only some of the optional settings: conjecture reads d;
 custom reads custom_bound and remainder, and d with a forest or graph
 remainder; theorem5, theorem2i and theorem2ii read none of them. A setting
 that the selector does not read is refused (exit 2 on the command line), so
-the report's config records only what its cells used. Building the config
+the report's config records only what its cells used; its remainder and d
+are the ones every row reads (cell_remainder). Building the config
 runs every cell's generator checks (GenSpec: n, the bound, whether the
 edges fit a simple graph), so a bad cell is refused before the first runs.
 """
@@ -46,7 +47,7 @@ class ExperimentConfig:
     custom_bound: Fraction | None = None
     remainder: str = "matching"
     allow_parallel: bool = False
-    max_rejections: int = 10000
+    max_rejections: int = GenSpec.max_rejections
 
     def __post_init__(self):
         if self.selector not in SELECTORS:
@@ -102,6 +103,7 @@ class ExperimentConfig:
     def to_json(self) -> dict:
         doc = asdict(self)
         doc.update(k_values=list(self.k_values), n_values=list(self.n_values))
+        doc["remainder"], doc["d"] = self.cell_remainder()
         if self.custom_bound is not None:
             doc["custom_bound"] = format_value(self.custom_bound)
         return doc

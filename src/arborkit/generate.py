@@ -54,7 +54,7 @@ from functools import lru_cache, reduce
 from itertools import cycle, islice
 from operator import add, mod, or_
 
-from .arboricity import _density_limits, _peeling_exceeds, fractional_arboricity_at_most
+from .arboricity import _density_limits, _peel, fractional_arboricity_at_most
 from .graphs import Graph
 
 _MASK64 = (1 << 64) - 1
@@ -243,7 +243,7 @@ def generate(spec: GenSpec) -> Graph:
         if once != full or (t > 1 and _twice(drawn) != full):
             continue
         edges = list(map(pair_of.__getitem__, drawn))
-        if not _peeling_exceeds(n, edges, density):
+        if all(inside <= density[size] for size, inside, _, _ in _peel(n, edges)):
             graph = Graph(n, tuple(sorted(edges)))
             if fractional_arboricity_at_most(graph, spec.target_bound):
                 return graph

@@ -19,7 +19,7 @@ from arborkit import (
     is_infinite,
     partition_into_forests,
 )
-from arborkit.arboricity import _core, _density_limits, _peel, _peeling_exceeds
+from arborkit.arboricity import _core, _density_limits, _peel
 from arborkit.flow import MaxFlow
 from helpers import (
     complete_bipartite,
@@ -350,11 +350,11 @@ def loop_free_pair_lists(draw):
 def test_peeling_witness_is_sound_and_order_free(drawn, p, q, data):
     n, edges = drawn
     limit = _density_limits(n, p, q)
-    exceeds = _peeling_exceeds(n, edges, limit)
+    exceeds = _chain_reads(n, edges, limit)[0]
     if exceeds:
         assert brute_frac_arboricity(Graph(n, tuple(edges))) > Fraction(p, q)
     # the generator peels its draws before sorting them
-    assert _peeling_exceeds(n, data.draw(st.permutations(edges)), limit) == exceeds
+    assert _chain_reads(n, data.draw(st.permutations(edges)), limit)[0] == exceeds
 
 
 def _chain_reads(n, edges, limit):
@@ -375,18 +375,27 @@ def _chain_reads(n, edges, limit):
 
 
 @settings(max_examples=300, deadline=None)
-@given(loop_free_pair_lists(), st.integers(1, 16), st.integers(1, 6), st.data())
-def test_peeling_matches_the_reference_peel(drawn, p, q, data):
+@given(
+    loop_free_pair_lists(),
+    st.integers(1, 16),
+    st.integers(1, 6),
+    st.lists(st.integers(0, 14), min_size=8, max_size=8),
+)
+@example((4, [(3, 1), (1, 0), (0, 2)]), 1, 1, [0] * 8)  # both ends of a path tie, twice
+@example((6, [(1, 2), (2, 3), (1, 3), (2, 3)]), 3, 2, [0, 0, 0, 2, 9, 9, 9, 9])  # isolated 0, 4, 5
+def test_peeling_matches_the_reference_peel(drawn, p, q, limit):
     n, edges = drawn
+    # every step: the set's size and edge count, the vertex peeled to reach
+    # it and that vertex's live degree, which _core reads
+    assert list(_peel(n, edges)) == reference_peel(n, edges)
     density = _density_limits(n, p, q)
     first, _, densest = _chain_reads(n, edges, density)
-    assert first == _peeling_exceeds(n, edges, density) == reference_peel(n, edges, density)
+    assert first == reference_peel(n, edges, density)
     # the densest set on the chain is over p / q when any set is
     assert reference_peel(n, edges, density, densest=True) == (densest if first else None)
     # the remainder witness peels against limits that are no density
-    limit = data.draw(st.lists(st.integers(0, 14), min_size=n + 1, max_size=n + 1))
     first, members, _ = _chain_reads(n, edges, limit)
-    assert first == _peeling_exceeds(n, edges, limit) == reference_peel(n, edges, limit)
+    assert first == reference_peel(n, edges, limit)
     assert members == reference_peel(n, edges, limit, members=True)
 
 
@@ -423,7 +432,6 @@ def test_peeling_is_not_quadratic(shape):
         bound, densest = (1, 1), (n - 1, n - 1)
     start = time.perf_counter()
     limit = _density_limits(n, *bound)
-    assert _peeling_exceeds(n, edges, limit) is None
     assert _chain_reads(n, edges, limit) == (None, None, densest)
     assert time.perf_counter() - start < 2.0
 

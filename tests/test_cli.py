@@ -259,6 +259,20 @@ def test_env_gate_override(graph_file, capsys, monkeypatch):
     assert "ARBORKIT_MAX_EDGES" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["domination", "{f}", "--kind", "edge"],  # runs a gated search
+    ["frac", "{f}"],  # reaches no gate
+    ["experiment", "--selector", "theorem5", "--n-range", "6", "--trials", "1", "--seed", "1"],
+], ids=["gated", "ungated", "experiment"])
+def test_a_malformed_env_gate_is_refused_by_every_command(argv, graph_file, capsys, monkeypatch):
+    monkeypatch.setenv("ARBORKIT_MAX_EDGES", "x")
+    f = graph_file("c6.txt", cycle(6))
+    assert main([a.format(f=f) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ARBORKIT_MAX_EDGES must be an integer, got 'x'\n"
+
+
 def test_gen_writes_file(tmp_path, capsys):
     out_path = tmp_path / "g.txt"
     assert main(["gen", "--n", "6", "--bound", "6/5", "--seed", "42", "-o", str(out_path)]) == 0

@@ -152,6 +152,21 @@ def test_config_json_is_pinned():
     ]
 
 
+@pytest.mark.parametrize("selector,needs", [
+    ("theorem5", {}),
+    ("theorem2i", {}),
+    ("theorem2ii", {}),
+    ("conjecture", {"d": 2}),
+    ("custom", {"custom_bound": Fraction(3, 2)}),
+    ("custom", {"custom_bound": Fraction(3, 2), "remainder": "forest", "d": 2}),
+])
+def test_config_records_the_remainder_every_row_reads(selector, needs):
+    config = small_config(selector=selector, n_values=(5, 6), trials=1, **needs)
+    _, payload = emit_report(config, run_experiment(config))
+    recorded = (payload["config"]["remainder"], payload["config"]["d"])
+    assert [(row["remainder"], row["d"]) for row in payload["rows"]] == [recorded] * 2
+
+
 # (selector, the settings it needs, one setting it does not read)
 UNREAD = [
     (selector, {}, unread)

@@ -15,7 +15,7 @@ from arborkit import (
     fractional_arboricity_at_most,
     generate,
 )
-from arborkit.arboricity import _density_limits, _peeling_exceeds
+from arborkit.arboricity import _density_limits, _peel
 from arborkit.generate import _FIRST_BLOCK
 from oracles import brute_frac_arboricity, reference_sample, splitmix64_unmix
 
@@ -286,4 +286,5 @@ def draws_with_a_low_vertex(draw):
 def test_a_low_degree_vertex_makes_the_peel_reject(drawn):
     # generate() rejects such a draw on its two vertex masks, before the peel
     n, bound, edges = drawn
-    assert _peeling_exceeds(n, edges, _density_limits(n, *bound.as_integer_ratio())) is not None
+    limit = _density_limits(n, *bound.as_integer_ratio())
+    assert any(inside > limit[size] for size, inside, _, _ in _peel(n, edges))
