@@ -64,17 +64,18 @@ degree is at least lambda; a pair of positive excess has multiplicity above
 lambda. At lambda = gamma_f the largest excess is 0, so this holds for every
 densest set. The density loop starts at lambda0, the density of the densest
 peeled set, so every set it finds, and its witness, lies in the
-ceil(lambda0)-core; the core is relabelled in vertex order, which keeps the
-value and the witness. For the threshold test at bound b, an
-inclusion-minimal set of largest positive excess has every inside degree
-above b, so it lies in the (floor(b) + 1)-core, and an empty core answers
-"yes". The peel visits the vertices in core order (Batagelj and Zaversnik
-2003): the k-core is the live set just before the first step that peels a
-vertex of k or more live neighbours, empty when none does. There every
-live degree is at least k, and each vertex peeled before had fewer than k
-neighbours in a superset of the core. The chain runs down to one vertex,
-so the step that splits the last pair counts too, with the pair's
-multiplicity as its degree. A sparse tail on a dense knot costs no flows.
+ceil(lambda0)-core. The core's pairs keep their own labels, since each flow
+numbers its nodes by rank among the vertices of its suffix anyway. For the
+threshold test at bound b, an inclusion-minimal set of largest positive
+excess has every inside degree above b, so it lies in the (floor(b) + 1)-core,
+and an empty core answers "yes". The peel visits the vertices in core order
+(Batagelj and Zaversnik 2003): the k-core is the live set just before the
+first step that peels a vertex of k or more live neighbours, empty when none
+does. There every live degree is at least k, and each vertex peeled before
+had fewer than k neighbours in a superset of the core. The chain runs down
+to one vertex, so the step that splits the last pair counts too, with the
+pair's multiplicity as its degree. A sparse tail on a dense knot costs no
+flows.
 
 arboricity partitions into k = 1, 2, ... forests until a partition exists.
 Its witness is the vertex set S of the violating edge set T of the last
@@ -125,8 +126,6 @@ def partition_into_forests(graph: Graph, k: int) -> PartitionResult:
     Loops force failure for every k (a loop alone violates |T| > k * 0).
     k = 0 succeeds only on an edgeless graph.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     part, uncovered, violation = matroid_partition(graph, k, graph.full_edge_set())
     if uncovered:
         return PartitionResult(forests=None, violation=violation)
@@ -154,20 +153,18 @@ def _touched_pairs(graph: Graph) -> tuple[list[int], list[tuple[int, int]]]:
     return used, pairs
 
 
-def _core(pairs: list[tuple[int, int]], chain: list, k: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """The k-core (k >= 1) of the sorted pairs, read off their peeling chain
-    (the list of _peel's sets; see the module docstring): its vertices in
-    order, and the pairs among them relabelled onto their positions."""
+def _core(pairs: list[tuple[int, int]], chain: list, k: int) -> list[tuple[int, int]]:
+    """The pairs among the k-core (k >= 1) of the sorted pairs, in their own
+    labels and order, read off their peeling chain (the list of _peel's
+    sets; see the module docstring)."""
     out = set()  # with the first set's v = -1, which is no vertex
     for _, _, v, d in chain:
         if d >= k:
             break
         out.add(v)
     else:
-        return [], []
-    kept = [x for x in range(len(chain)) if x not in out]
-    index = {x: i for i, x in enumerate(kept)}
-    return kept, [(index[u], index[v]) for u, v in pairs if u in index and v in index]
+        return []
+    return [(u, v) for u, v in pairs if u not in out and v not in out]
 
 
 def _improving_subset(
@@ -266,14 +263,14 @@ def fractional_arboricity(graph: Graph) -> FracArbResult:
         if inside * low > top * (size - 1):
             top, low = inside, size - 1
     lam = Fraction(top, low)
-    kept, pairs = _core(pairs, chain, math.ceil(lam))
+    pairs = _core(pairs, chain, math.ceil(lam))
     steps = 0
     while True:
         steps += 1
         if steps > (graph.edge_count + 1) * (n + 1):
             raise AssertionError("internal error: density iteration failed to terminate")
         improving, subset = _improving_subset(pairs, lam)
-        subset = frozenset(used[kept[x]] for x in subset or ())
+        subset = frozenset(used[x] for x in subset or ())
         if not improving:
             if len(subset) < 2 or _density(graph, subset) != lam:
                 raise AssertionError("internal error: the density witness does not reach the value")
@@ -358,7 +355,7 @@ def fractional_arboricity_at_most(graph: Graph, bound) -> bool:
             return False
         chain.append(step)
     # a set of positive excess leaves one with every inside degree > bound
-    _, pairs = _core(pairs, chain, math.floor(bound) + 1)
+    pairs = _core(pairs, chain, math.floor(bound) + 1)
     return not _improving_subset(pairs, bound, stop_at_first=True)[0]
 
 

@@ -118,18 +118,10 @@ def _edge_domination_core(covers: list[int], dom: list[int], want: int, edges):
     chosen: list[int] = []
 
     def branch(undom: int) -> Iterator[int]:
-        # the undominated vertex with the fewest candidate edges
-        pick = -1
-        fewest = len(covers) + 1
-        rest = undom
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            c = dom[v].bit_count()
-            if c < fewest:
-                fewest = c
-                pick = v
-            rest ^= low
+        # the undominated vertex with the fewest candidate edges, the lowest
+        # on a tie: packing_order is a stable sort of the increasing want
+        # vertices by that count, and undom lies within want
+        pick = next(v for v in packing_order if undom >> v & 1)
         cands = []
         rest = dom[pick]
         while rest:

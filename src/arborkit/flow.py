@@ -1,4 +1,8 @@
-"""Integer max-flow (Dinic) with min-cut extraction. Exact, no floats."""
+"""Integer max flow (Dinic 1970) and min-cut sides. Exact, no floats.
+
+Every maximum flow leaves the same residual reach from the source and to the
+sink, so the two min-cut sides do not depend on which one max_flow finds.
+"""
 
 from __future__ import annotations
 
@@ -28,47 +32,53 @@ class MaxFlow:
                     queue.append(arc[0])
         return level
 
-    def _push(self, s: int, t: int, level: list[int], it: list[int]) -> int:
-        # iterative DFS for one blocking-flow augmentation
-        path: list[tuple[int, int]] = []
-        x = s
-        while True:
-            if x == t:
-                pushed = min(self.adj[u][i][1] for u, i in path)
-                for u, i in path:
-                    arc = self.adj[u][i]
-                    arc[1] -= pushed
-                    self.adj[arc[0]][arc[2]][1] += pushed
-                return pushed
-            advanced = False
-            while it[x] < len(self.adj[x]):
-                arc = self.adj[x][it[x]]
-                if arc[1] > 0 and level[arc[0]] == level[x] + 1:
-                    path.append((x, it[x]))
-                    x = arc[0]
-                    advanced = True
-                    break
-                it[x] += 1
-            if not advanced:
-                if x == s:
-                    return 0
-                level[x] = -1
-                u, _ = path.pop()
-                x = u
-                it[x] += 1
-
     def max_flow(self, s: int, t: int) -> int:
+        """The value of a maximum s-t flow, left in the residual capacities.
+
+        Each phase finds a blocking flow on the level graph of _levels with
+        one depth-first search that keeps its path from s as a list of arc
+        records. After a push it resumes at the tail of the first arc the
+        push saturated, the one nearest s, and cuts the path there; a node
+        with no admissible arc left gets level -1, and the search steps back
+        one arc. it[x] is the next arc of x to try.
+        """
+        adj = self.adj
         total = 0
         while True:
             level = self._levels(s)
             if level[t] < 0:
                 return total
             it = [0] * self.node_count
+            path: list[list[int]] = []
+            x = s
             while True:
-                pushed = self._push(s, t, level, it)
-                if pushed == 0:
+                if x == t:
+                    pushed = min(arc[1] for arc in path)
+                    total += pushed
+                    for arc in path:
+                        arc[1] -= pushed
+                        adj[arc[0]][arc[2]][1] += pushed
+                    cut = next(i for i, arc in enumerate(path) if not arc[1])
+                    x = path[cut - 1][0] if cut else s
+                    del path[cut:]
+                    continue
+                arcs, i, next_level = adj[x], it[x], level[x] + 1
+                while i < len(arcs):
+                    arc = arcs[i]
+                    if arc[1] > 0 and level[arc[0]] == next_level:
+                        break
+                    i += 1
+                it[x] = i
+                if i < len(arcs):
+                    path.append(arc)
+                    x = arc[0]
+                elif x == s:
                     break
-                total += pushed
+                else:
+                    level[x] = -1
+                    path.pop()
+                    x = path[-1][0] if path else s
+                    it[x] += 1
 
     def min_cut_source_side(self, s: int) -> set[int]:
         """Residual-reachable nodes after max_flow: the smallest source side
