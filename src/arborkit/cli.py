@@ -56,66 +56,38 @@ def _parse_range(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _ids(edges) -> str:
+    return " ".join(map(str, sorted(edges)))
+
+
+def _emit(args, doc: dict, lines: list[str], indent: int | None = None) -> None:
+    """Print a command's result: its JSON document under --json, else its
+    text lines, one print each (no lines print nothing)."""
+    if args.json:
+        print(json.dumps(doc, indent=indent))
+    else:
+        for line in lines:
+            print(line)
+
+
 def cmd_value(args) -> int:
     # arboricity and frac; the parser sets the solver and the JSON key
-    graph = _load_graph(args.file)
-    res = args.solver(graph)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    args.key: format_value(res.value),
-                    "witness_vertices": sorted(res.witness_vertices),
-                }
-            )
-        )
-    else:
-        print(format_value(res.value))
+    res = args.solver(_load_graph(args.file))
+    value = format_value(res.value)
+    _emit(args, {args.key: value, "witness_vertices": sorted(res.witness_vertices)}, [value])
     return 0
 
 
 def cmd_partition(args) -> int:
-    graph = _load_graph(args.file)
-    res = partition_into_forests(graph, args.k)
+    res = partition_into_forests(_load_graph(args.file), args.k)
     if res.ok:
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "status": "ok",
-                        "k": args.k,
-                        "forests": [sorted(f) for f in res.forests],
-                    }
-                )
-            )
-        else:
-            for i, forest in enumerate(res.forests):
-                print(f"forest {i}: {' '.join(map(str, sorted(forest)))}")
-        return 0
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "status": "violation",
-                    "k": args.k,
-                    "violating_edges": sorted(res.violation),
-                }
-            )
-        )
+        doc = {"status": "ok", "k": args.k, "forests": [sorted(f) for f in res.forests]}
+        lines = [f"forest {i}: {_ids(f)}" for i, f in enumerate(res.forests)]
     else:
-        print(f"violating edges: {' '.join(map(str, sorted(res.violation)))}")
-    return 1
-
-
-def _decomposition_doc(dec: Decomposition, k: int) -> dict:
-    return {
-        "status": "ok",
-        "k": k,
-        "kind": dec.kind,
-        "d": dec.degree_bound,
-        "forests": [sorted(f) for f in dec.forests],
-        "remainder": sorted(dec.remainder),
-    }
+        doc = {"status": "violation", "k": args.k, "violating_edges": sorted(res.violation)}
+        lines = [f"violating edges: {_ids(res.violation)}"]
+    _emit(args, doc, lines)
+    return 0 if res.ok else 1
 
 
 def cmd_decompose(args) -> int:
@@ -128,23 +100,24 @@ def cmd_decompose(args) -> int:
     else:
         dec = decompose_forests_bounded(graph, args.k, args.d, args.remainder)
     if dec is None:
-        if args.json:
-            # the vertex set that proves the answer by counting, or null when
-            # only the search decided
-            witness = remainder_witness(graph, args.k, args.remainder, args.d)
-            doc = {"status": "exhausted", "k": args.k, "kind": args.remainder, "d": args.d}
-            doc["witness"] = None if witness is None else sorted(witness)
-            print(json.dumps(doc))
-        else:
-            print("status: exhausted")
+        # the vertex set that proves the answer by counting, or null when
+        # only the search decided; the text names the status alone
+        witness = remainder_witness(graph, args.k, args.remainder, args.d)
+        doc = {"status": "exhausted", "k": args.k, "kind": args.remainder, "d": args.d}
+        doc["witness"] = None if witness is None else sorted(witness)
+        _emit(args, doc, ["status: exhausted"])
         return 1
-    if args.json:
-        print(json.dumps(_decomposition_doc(dec, args.k), indent=2))
-    else:
-        for i, forest in enumerate(dec.forests):
-            print(f"forest {i}: {' '.join(map(str, sorted(forest)))}")
-        print(f"remainder ({dec.kind}): {' '.join(map(str, sorted(dec.remainder)))}")
-        print("status: ok")
+    lines = [f"forest {i}: {_ids(f)}" for i, f in enumerate(dec.forests)]
+    lines += [f"remainder ({dec.kind}): {_ids(dec.remainder)}", "status: ok"]
+    doc = {
+        "status": "ok",
+        "k": args.k,
+        "kind": dec.kind,
+        "d": dec.degree_bound,
+        "forests": [sorted(f) for f in dec.forests],
+        "remainder": sorted(dec.remainder),
+    }
+    _emit(args, doc, lines, indent=2)
     return 0
 
 
@@ -203,39 +176,29 @@ def cmd_domination(args) -> int:
         res = edge_domination(graph)
     else:
         res = two_path_domination(graph)
-    if args.json:
-        doc = {
-            "kind": args.kind,
-            "value": format_value(res.value),
-            "witness": None if res.witness is None else [
-                list(w) if isinstance(w, tuple) else w for w in res.witness
-            ],
-        }
-        if args.kind == "two-path":
-            doc["witness_pairs"] = (
-                None if res.witness_pairs is None else [list(p) for p in res.witness_pairs]
-            )
-        print(json.dumps(doc))
-    else:
-        print(format_value(res.value))
+    value = format_value(res.value)
+    # json writes the witness tuples as arrays
+    doc = {"kind": args.kind, "value": value, "witness": res.witness}
+    if args.kind == "two-path":
+        doc["witness_pairs"] = res.witness_pairs
+    _emit(args, doc, [value])
     return 0
 
 
 def cmd_prooftrace(args) -> int:
-    graph = _load_graph(args.file)
-    report = run_prooftrace(graph, args.k)
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(f"flats: {report.flat_count}")
-        print(f"link: {'ok' if report.link_ok else 'FAIL'}")
-        print(f"basic sets: {'ok' if report.basic_obs_ok else 'FAIL'}")
-        mindeg = all(r.mindeg_ok for r in report.records)
-        print(f"flat min degree: {'ok' if mindeg else 'FAIL'}")
-        inters = all(r.inters_status == "pass" for r in report.records)
-        print(f"domination condition: {'ok' if inters else 'inconclusive'}")
-        print(f"hypothesis: {'ok' if report.hypothesis_ok else 'not satisfied'}")
-        print(report.verdict)
+    report = run_prooftrace(_load_graph(args.file), args.k)
+    mindeg = all(r.mindeg_ok for r in report.records)
+    inters = all(r.inters_status == "pass" for r in report.records)
+    lines = [
+        f"flats: {report.flat_count}",
+        f"link: {'ok' if report.link_ok else 'FAIL'}",
+        f"basic sets: {'ok' if report.basic_obs_ok else 'FAIL'}",
+        f"flat min degree: {'ok' if mindeg else 'FAIL'}",
+        f"domination condition: {'ok' if inters else 'inconclusive'}",
+        f"hypothesis: {'ok' if report.hypothesis_ok else 'not satisfied'}",
+        report.verdict,
+    ]
+    _emit(args, report.to_json(), lines, indent=2)
     return 0 if report.verdict == VERDICT_PASS else 1
 
 
@@ -288,46 +251,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact arboricity, forest decompositions, and domination checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the positional that every graph command reads first
+    file_arg = argparse.ArgumentParser(add_help=False)
+    file_arg.add_argument("file", help="graph file, or - for stdin")
+    on_graph = [file_arg]
 
-    p = sub.add_parser("arboricity", help="minimum number of covering forests")
-    p.add_argument("file", help="graph file, or - for stdin")
+    p = sub.add_parser("arboricity", parents=on_graph, help="minimum number of covering forests")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_value, solver=arboricity, key="arboricity")
 
-    p = sub.add_parser("frac", help="fractional arboricity as an exact rational")
-    p.add_argument("file", help="graph file, or - for stdin")
+    p = sub.add_parser("frac", parents=on_graph, help="fractional arboricity as an exact rational")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_value, solver=fractional_arboricity, key="fractional_arboricity")
 
-    p = sub.add_parser("partition", help="split the edges into k forests")
-    p.add_argument("file", help="graph file, or - for stdin")
+    p = sub.add_parser("partition", parents=on_graph, help="split the edges into k forests")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("decompose", help="k forests plus a small remainder")
-    p.add_argument("file", help="graph file, or - for stdin")
+    p = sub.add_parser("decompose", parents=on_graph, help="k forests plus a small remainder")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--remainder", choices=REMAINDER_KINDS, default="matching")
     p.add_argument("--d", type=int, help="remainder degree bound (forest/graph kinds)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("verify", help="re-check a decomposition document")
-    p.add_argument("file", help="graph file, or - for stdin")
+    p = sub.add_parser("verify", parents=on_graph, help="re-check a decomposition document")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--decomposition", required=True, help="JSON from decompose --json")
     p.add_argument("--d", type=int, help="override the document's degree bound")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("domination", help="edge or 2-path domination number")
-    p.add_argument("file", help="graph file, or - for stdin")
+    p = sub.add_parser("domination", parents=on_graph, help="edge or 2-path domination number")
     p.add_argument("--kind", choices=("edge", "two-path"), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_domination)
 
-    p = sub.add_parser("prooftrace", help="desk-scale structural check battery")
-    p.add_argument("file", help="graph file, or - for stdin")
+    p = sub.add_parser("prooftrace", parents=on_graph, help="desk-scale structural check battery")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_prooftrace)

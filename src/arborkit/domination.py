@@ -40,6 +40,16 @@ class DominationResult:
     witness_pairs: tuple[tuple[int, int], ...] | None = None
 
 
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _coverage(graph: Graph) -> tuple[list[int], list[int]]:
     """covers[e] = vertex mask dominated by edge e; dom[v] = edge mask
     of the edges that dominate vertex v."""
@@ -51,11 +61,8 @@ def _coverage(graph: Graph) -> tuple[list[int], list[int]]:
     covers = [closed[a] | closed[b] for a, b in graph.endpoints]
     dom = [0] * n
     for e, cov in enumerate(covers):
-        rest = cov
-        while rest:
-            low = rest & -rest
-            dom[low.bit_length() - 1] |= 1 << e
-            rest ^= low
+        for v in _bits(cov):
+            dom[v] |= 1 << e
     return covers, dom
 
 
@@ -89,7 +96,7 @@ def _edge_domination_core(covers: list[int], dom: list[int], want: int, edges):
     """
     if not want:
         return 0, ()
-    verts = [v for v in range(want.bit_length()) if want >> v & 1]
+    verts = _bits(want)
     if any(dom[v] == 0 for v in verts):
         return INFINITE, None
 
@@ -122,12 +129,7 @@ def _edge_domination_core(covers: list[int], dom: list[int], want: int, edges):
         # on a tie: packing_order is a stable sort of the increasing want
         # vertices by that count, and undom lies within want
         pick = next(v for v in packing_order if undom >> v & 1)
-        cands = []
-        rest = dom[pick]
-        while rest:
-            low = rest & -rest
-            cands.append(low.bit_length() - 1)
-            rest ^= low
+        cands = _bits(dom[pick])
         cands.sort(key=lambda e: -(covers[e] & undom).bit_count())
         for e in cands:
             chosen.append(e)

@@ -99,9 +99,10 @@ class SplitMix64:
         return memoryview(z.to_bytes(16 * count, "little")).cast("Q")[::2].tolist()
 
     def below(self, bound: int) -> int:
-        """Uniform draw from [0, bound), bias-free."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform draw from [0, bound), bias-free, for 1 <= bound <= 2^64;
+        a larger bound would leave no output below the limit."""
+        if not 0 < bound <= 1 << 64:
+            raise ValueError("bound must be in 1..2^64")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             x = self.next_u64()

@@ -338,15 +338,6 @@ def union_rank_table(graph: Graph, k: int) -> bytes:
     return table
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def flat_masks(size: int, ranks: bytes) -> list[int]:
     """Bitmasks of all flats of a matroid on 0..size-1, in increasing order,
     given its rank table: rank(X) in byte X, for each of the 2^size subsets.

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arboricity import fractional_arboricity_at_most
-from .domination import _coverage, _edge_domination_core
+from .domination import _bits, _coverage, _edge_domination_core
 from .graphs import Graph, line_graph
 from .limits import PROOFTRACE_DEFAULT, check_gate
-from .matroid import _bit_lanes, _bits, _zero_lanes, flat_masks, union_rank_table
+from .matroid import _bit_lanes, _zero_lanes, flat_masks, union_rank_table
 from .rationals import Infinite, format_value, is_infinite
 
 VERDICT_PASS = "PASS"

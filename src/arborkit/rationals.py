@@ -7,8 +7,10 @@ or INFINITE. Floats never appear in results.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 
 
+@total_ordering
 class Infinite:
     """Sentinel strictly above every finite value.
 
@@ -32,17 +34,8 @@ class Infinite:
     def __hash__(self) -> int:
         return hash("arborkit.INFINITE")
 
-    def __gt__(self, other) -> bool:
-        return not isinstance(other, Infinite)
-
-    def __ge__(self, other) -> bool:
-        return True
-
     def __lt__(self, other) -> bool:
         return False
-
-    def __le__(self, other) -> bool:
-        return isinstance(other, Infinite)
 
 
 INFINITE = Infinite()

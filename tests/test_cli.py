@@ -87,6 +87,101 @@ def test_partition_violation(graph_file, capsys):
     assert doc["violating_edges"]
 
 
+_FOUND_FOREST_DOC = """\
+{
+  "status": "ok",
+  "k": 1,
+  "kind": "forest",
+  "d": 2,
+  "forests": [
+    [
+      0,
+      1,
+      4
+    ]
+  ],
+  "remainder": [
+    2,
+    3,
+    5
+  ]
+}
+"""
+
+_PROOFTRACE_DOC = """\
+{
+  "graph": {
+    "vertices": 2,
+    "edges": 2
+  },
+  "k": 1,
+  "hypothesis_ok": false,
+  "flats_of_dual": 2,
+  "records": [
+    {
+      "complement": [],
+      "min_degree": null,
+      "mindeg_ok": true,
+      "gamma_p": "0",
+      "required": 0,
+      "inters": "pass"
+    },
+    {
+      "complement": [
+        1
+      ],
+      "min_degree": 2,
+      "mindeg_ok": true,
+      "gamma_p": "INFINITE",
+      "required": 1,
+      "inters": "pass"
+    }
+  ],
+  "link_ok": true,
+  "basic_obs_ok": true,
+  "verdict": "PASS"
+}
+"""
+
+_EDGE_AND_LOOP = Graph(2, ((0, 1), (1, 1)))
+
+
+@pytest.mark.parametrize("graph,argv,code,out", [
+    (complete_graph(4), ["frac", "--json"], 0,
+     '{"fractional_arboricity": "2", "witness_vertices": [0, 1, 2, 3]}\n'),
+    (complete_graph(4), ["partition", "--k", "2"], 0,
+     "forest 0: 0 1 5\nforest 1: 2 3 4\n"),
+    (Graph(3, ()), ["partition", "--k", "0"], 0, ""),
+    (Graph(3, ()), ["partition", "--k", "1"], 0, "forest 0: \n"),
+    (complete_graph(4), ["partition", "--k", "1"], 1, "violating edges: 1 2 5\n"),
+    (complete_graph(4), ["partition", "--k", "1", "--json"], 1,
+     '{"status": "violation", "k": 1, "violating_edges": [1, 2, 5]}\n'),
+    (complete_graph(4), ["decompose", "--k", "1", "--remainder", "forest", "--d", "2"], 0,
+     "forest 0: 0 1 4\nremainder (forest): 2 3 5\nstatus: ok\n"),
+    (complete_graph(4), ["decompose", "--k", "1", "--remainder", "forest", "--d", "2", "--json"],
+     0, _FOUND_FOREST_DOC),
+    (complete_graph(4), ["decompose", "--k", "1"], 1, "status: exhausted\n"),
+    (complete_graph(4), ["decompose", "--k", "1", "--json"], 1,
+     '{"status": "exhausted", "k": 1, "kind": "matching", "d": null, "witness": [0, 1, 2, 3]}\n'),
+    (path(3), ["domination", "--kind", "edge", "--json"], 0,
+     '{"kind": "edge", "value": "1", "witness": [0]}\n'),
+    (complete_graph(4), ["domination", "--kind", "two-path", "--json"], 0,
+     '{"kind": "two-path", "value": "1", "witness": [[1, 0, 2]], "witness_pairs": [[0, 1]]}\n'),
+    (_EDGE_AND_LOOP, ["prooftrace", "--k", "1"], 0,
+     "flats: 2\nlink: ok\nbasic sets: ok\nflat min degree: ok\n"
+     "domination condition: ok\nhypothesis: not satisfied\nPASS\n"),
+    (_EDGE_AND_LOOP, ["prooftrace", "--k", "1", "--json"], 0, _PROOFTRACE_DOC),
+])
+def test_printed_bytes(graph_file, capsys, graph, argv, code, out):
+    # exact layouts: a found decomposition and prooftrace indent their JSON,
+    # every other document is one line, and no lines print nothing at all
+    f = graph_file("g.txt", graph)
+    assert main([argv[0], f, *argv[1:]]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == ""
+
+
 def test_decompose_exhausted(graph_file, capsys):
     f = graph_file("k4.txt", complete_graph(4))
     assert main(["decompose", f, "--k", "1"]) == 1

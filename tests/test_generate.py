@@ -58,6 +58,14 @@ def test_splitmix64_below():
         SplitMix64(0).below(0)
 
 
+def test_splitmix64_below_refuses_bounds_above_2_to_the_64():
+    # 2^64 takes every output as it is; above it no output is accepted
+    assert SplitMix64(7).below(1 << 64) == SplitMix64(7).next_u64()
+    for bound in ((1 << 64) + 1, 1 << 65, -1):
+        with pytest.raises(ValueError):
+            SplitMix64(0).below(bound)
+
+
 def test_derive_seed_is_stable_and_order_sensitive():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)

@@ -20,6 +20,14 @@ def test_infinite_ordering():
     assert 5 < INFINITE
     assert Fraction(7, 2) < INFINITE
     assert not 5 > INFINITE
+    # each of the four operators, both ways round
+    for x in (5, Fraction(7, 2)):
+        assert INFINITE > x and x < INFINITE
+        assert INFINITE >= x and x <= INFINITE
+        assert not INFINITE < x and not x > INFINITE
+        assert not INFINITE <= x and not x >= INFINITE
+    assert not INFINITE < INFINITE
+    assert INFINITE == INFINITE
 
 
 def test_infinite_equality():
