@@ -371,8 +371,13 @@ def arboricity(graph: Graph) -> ArboricityResult:
         return ArboricityResult(value=INFINITE, witness_vertices=frozenset({u}))
     if graph.edge_count == 0:
         return ArboricityResult(value=0, witness_vertices=frozenset())
+    # no k below the whole graph's density ceiling fits, so the search starts
+    # one below it: that k fails too, and a failure at value - 1 gives the
+    # witness
+    touched = len({x for pair in graph.endpoints for x in pair})
+    start = max(1, -(-graph.edge_count // (touched - 1)) - 1)
     below: PartitionResult | None = None
-    for k in range(1, graph.edge_count + 1):
+    for k in range(start, graph.edge_count + 1):
         result = partition_into_forests(graph, k)
         if result.ok:
             break

@@ -9,8 +9,9 @@ maintained incrementally by the matroid layer's one partition engine
 (_ForestPartition): each forest-side assignment is one augmenting insertion,
 and backtracking restores the partition to a mark in its undo log. A forest
 remainder lives in a one-forest _ForestPartition of its own: an edge may join
-it when no forest path links its endpoints, and is added and removed directly,
-with no augmentation. A graph remainder needs only its degree counts.
+it when its endpoints climb that forest's parent pointers to two different
+roots, and is added and removed directly, with no augmentation. A graph
+remainder needs only its degree counts.
 
 Both searches, and the domination search, keep their branch points on a list
 rather than the interpreter's stack, so no input depth can overrun its

@@ -11,15 +11,19 @@ disjoint forests are grown one element at a time, and a new element e is
 inserted by a breadth-first search over exchange moves. The element f can
 push g out of forest j whenever g lies on the fundamental cycle of f in
 forest j, so a shortest chain of pushes ending at a forest with room absorbs
-e. When the search exhausts without reaching a slot, the set L of reached
-elements satisfies r(L) = |F_j intersect L| for every j, which yields
-|L| > k * r(L) with e uncovered, a certificate that L fits in no k forests.
+e (Roskind and Tarjan 1985; Gabow and Westermann 1992). When the search
+exhausts without reaching a slot, the set L of reached elements satisfies
+r(L) = |F_j intersect L| for every j, which yields |L| > k * r(L) with e
+uncovered, a certificate that L fits in no k forests.
 
-_ForestPartition is the one partition engine; its undo log makes snapshot()
-a mark and restore(mark) a roll-back, through which the bounded search in
-decompose.py backtracks. That search also keeps a forest remainder in a
-one-forest _ForestPartition, whose forest path between the endpoints of an
-edge says whether the edge would close a cycle. union_rank_table does not
+_ForestPartition is the one partition engine. It keeps each forest as
+parent pointers, so the fundamental cycle of f in forest j is the two climbs
+from f's endpoints to the first vertex they share, O(depth) per query, and
+a climb that reaches a root first means f joins two trees. Its undo log
+makes snapshot() a mark and restore(mark) a roll-back, through which the
+bounded search in decompose.py backtracks. That search also keeps a forest
+remainder in a one-forest _ForestPartition: an edge whose endpoints climb
+to two different roots there closes no cycle. union_rank_table does not
 augment per subset: it evaluates the union formula r_k(X) = min over T of
 |X - T| + k * r(T) (Nash-Williams 1966; Edmonds 1968) for every X at once,
 from a cycle-rank table built edge by edge and a subset-min transform, and
@@ -65,10 +69,15 @@ class _ForestPartition:
     the inserted edge. snapshot() is a mark into the log; restore(mark)
     reverses the moves logged after it, newest first.
 
+    Forest j is up[j], which maps a vertex to its parent and the id of the
+    edge between them; a root has no entry.
+
     No forest ever holds a loop: its circuit is [] in every forest, so
     try_insert never places one, and the one-forest remainder of the bounded
-    search sees loop-free graphs only. _add and _remove rely on that, and
-    _assert_forest raises if a loop is ever placed.
+    search sees loop-free graphs only. _add raises on an edge whose
+    endpoints already share a root, a loop included, before it links, so no
+    fault can leave a parent cycle for a later climb to loop on; and
+    _assert_forest checks owner itself after every augmentation.
     """
 
     def __init__(self, graph: Graph, k: int):
@@ -77,7 +86,7 @@ class _ForestPartition:
         self.graph = graph
         self.k = k
         self.owner: dict[int, int] = {}
-        self.adj: list[dict[int, list[tuple[int, int]]]] = [dict() for _ in range(k)]
+        self.up: list[dict[int, tuple[int, int]]] = [dict() for _ in range(k)]
         self.log: list[tuple[int, int | None, int]] = []
 
     def forest_sets(self) -> tuple[frozenset[int], ...]:
@@ -98,42 +107,60 @@ class _ForestPartition:
                 self._add(prev, eid)
 
     def _add(self, j: int, eid: int) -> None:
+        up = self.up[j]
         u, v = self.graph.endpoints[eid]
-        self.adj[j].setdefault(u, []).append((eid, v))
-        self.adj[j].setdefault(v, []).append((eid, u))
+        # endpoints with one root, a loop included, would close a cycle
+        x, y = u, v
+        while x in up:
+            x = up[x][0]
+        while y in up:
+            y = up[y][0]
+        if x == y:
+            raise AssertionError(f"internal error: forest {j} acquired a cycle")
+        # re-root u's tree at u, each vertex on u's old path to its root
+        # pointing back at the one below it, and hang u below v
+        x, link = u, (v, eid)
+        while True:
+            above = up.get(x)
+            up[x] = link
+            if above is None:
+                break
+            link = (x, above[1])
+            x = above[0]
         self.owner[eid] = j
 
     def _remove(self, j: int, eid: int) -> None:
+        up = self.up[j]
         u, v = self.graph.endpoints[eid]
-        self.adj[j][u].remove((eid, v))
-        self.adj[j][v].remove((eid, u))
+        # the one pointer that holds the edge hangs one endpoint below the other
+        del up[u if u in up and up[u][1] == eid else v]
         del self.owner[eid]
 
     def _forest_path(self, j: int, source: int, target: int) -> list[int] | None:
-        """Edge ids of the source->target path inside forest j, else None."""
-        if source == target:
-            return []
-        forest = self.adj[j]
-        if not forest.get(source) or not forest.get(target):
-            return None
-        via: dict[int, tuple[int, int] | None] = {source: None}
-        queue = deque([source])
-        while queue:
-            x = queue.popleft()
-            for eid, y in forest.get(x, ()):
-                if y in via:
-                    continue
-                via[y] = (eid, x)
-                if y == target:
-                    path = []
-                    cur = y
-                    while via[cur] is not None:
-                        eid2, prev = via[cur]
-                        path.append(eid2)
-                        cur = prev
-                    return path
-                queue.append(y)
-        return None
+        """Edge ids of the path between source and target inside forest j,
+        from the target end to the source end, else None."""
+        up = self.up[j]
+        # source's ancestors, each with the number of edges below it on the
+        # climb from source
+        climb: list[int] = []
+        depth = {source: 0}
+        step = up.get(source)
+        while step is not None:
+            x, eid = step
+            climb.append(eid)
+            depth[x] = len(climb)
+            step = up.get(x)
+        # target climbs to the first of them, then the path descends to source
+        path: list[int] = []
+        x = target
+        while x not in depth:
+            step = up.get(x)
+            if step is None:
+                return None
+            x, eid = step
+            path.append(eid)
+        path.extend(reversed(climb[:depth[x]]))
+        return path
 
     def try_insert(self, eid: int) -> tuple[bool, frozenset[int] | None]:
         """Cover eid, rearranging as needed.
@@ -185,11 +212,13 @@ class _ForestPartition:
     def _assert_forest(self, j: int) -> None:
         # every edge owner assigns to forest j, a loop included, must join
         # two different components of the edges before it; raised, not
-        # asserted, so python -O keeps the check. It keeps its own pass over
-        # owner rather than graphs._spanning_forest_size: building the pairs
-        # for that call cost about 6% on partition and bounded-search calls
-        # in an interleaved A/B, and the bench tracer would wrap the
-        # cross-module call in a span on every augmentation
+        # asserted, so python -O keeps the check. It reads owner, not the
+        # parent pointers that the circuits come from, so a fault in their
+        # upkeep cannot vouch for itself. It runs its own union-find rather
+        # than call graphs._spanning_forest_size: building the pairs for that
+        # call cost about 6% on partition and bounded-search calls in an
+        # interleaved A/B, and a cross-module call on every augmentation is
+        # one more span in a traced bench run
         endpoints = self.graph.endpoints
         parent: dict[int, int] = {}
         for e, owner in self.owner.items():

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 import time
@@ -292,6 +293,37 @@ def test_arboricity_witness_density_ceiling(multigraph_corpus):
         res = arboricity(g)
         dens = density(g, res.witness_vertices)
         assert -(-dens.numerator // dens.denominator) == res.value, g
+
+
+def test_arboricity_starts_one_below_the_density_ceiling(monkeypatch, multigraph_corpus):
+    # no k below ceil(m / (n - 1)) over the touched vertices fits, so the k
+    # loop starts one below it; the witness is still the violation of a
+    # fresh partition at value - 1
+    module = importlib.import_module("arborkit.arboricity")
+    partition = module.partition_into_forests
+    tried = []
+
+    def counted(graph, k):
+        tried.append(k)
+        return partition(graph, k)
+
+    monkeypatch.setattr(module, "partition_into_forests", counted)
+    named = (complete_graph(5), cycle(6), petersen(), doubled_cycle(4))
+    graphs = [g for g in named + DISCONNECTED + multigraph_corpus if g.edge_count and not g.has_loop()]
+    assert len(graphs) > 100
+    for g in graphs:
+        tried.clear()
+        res = arboricity(g)
+        touched = len({x for pair in g.endpoints for x in pair})
+        start = max(1, -(-g.edge_count // (touched - 1)) - 1)
+        assert tried == list(range(start, res.value + 1)), g
+        if res.value > 1:
+            below = partition(g, res.value - 1).violation
+            assert res.witness_vertices == {x for e in below for x in g.endpoints[e]}
+    # K5: 10 edges on 5 vertices, ceiling 3, so k = 1 never runs
+    tried.clear()
+    assert arboricity(complete_graph(5)).value == 3
+    assert tried == [2, 3]
 
 
 def test_violation_below_arboricity_is_connected(atlas_corpus, multigraph_corpus):

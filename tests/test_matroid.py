@@ -202,19 +202,106 @@ def test_forest_partition_restore_returns_to_mark():
     ),
 ])
 def test_forest_check_raises_on_planted_cycle(graph, k, planted, insert, placed):
-    def plant(edges):
-        part = _ForestPartition(graph, k)
-        for e in edges:
-            part._add(planted[e], e)
-        return part
-
+    *forest, closing = planted
+    part = _ForestPartition(graph, k)
+    for e in forest:
+        part._add(planted[e], e)
+    mark = part.snapshot()
     # without the edge that closes the cycle the insertion succeeds
-    part = plant(list(planted)[:-1])
     assert part.try_insert(insert) == (True, None)
     assert {e: part.owner[e] for e in placed} == placed
-    part = plant(planted)
+    part.restore(mark)
+    # _add refuses the closing edge, so it goes in through owner alone: the
+    # parent pointers never see it, and the check over owner that follows
+    # the augmentation is what must catch it
+    part.owner[closing] = planted[closing]
     with pytest.raises(AssertionError, match="acquired a cycle"):
         part.try_insert(insert)
+
+
+@pytest.mark.parametrize("graph, forest, closing", [
+    # a triangle's third edge
+    (Graph(3, ((0, 1), (1, 2), (0, 2))), (0, 1), 2),
+    # the second of a parallel pair
+    (Graph(2, ((0, 1), (0, 1))), (0,), 1),
+    # a loop, into an empty forest and at a vertex of a tree
+    (Graph(1, ((0, 0),)), (), 0),
+    (Graph(2, ((0, 1), (1, 1))), (0,), 1),
+    # a path's ends, after a re-root has reversed a pointer between them
+    (Graph(4, ((0, 1), (2, 3), (0, 2), (1, 3))), (0, 1, 2), 3),
+])
+def test_add_refuses_an_edge_that_closes_a_cycle(graph, forest, closing):
+    part = _ForestPartition(graph, 1)
+    for e in forest:
+        part._add(0, e)
+    up = dict(part.up[0])
+    with pytest.raises(AssertionError, match="acquired a cycle"):
+        part._add(0, closing)
+    assert part.up[0] == up
+    assert closing not in part.owner
+
+
+def _bfs_forest_path(graph, forest, source, target):
+    """The edges of the source-target path in forest, from the target end,
+    by a breadth-first search; None when no path joins them."""
+    adj = {}
+    for e in forest:
+        u, v = graph.endpoints[e]
+        adj.setdefault(u, []).append((v, e))
+        adj.setdefault(v, []).append((u, e))
+    via = {source: None}
+    queue = [source]
+    for x in queue:
+        for y, e in adj.get(x, ()):
+            if y not in via:
+                via[y] = (x, e)
+                queue.append(y)
+    if target not in via:
+        return None
+    path = []
+    while via[target] is not None:
+        target, e = via[target]
+        path.append(e)
+    return path
+
+
+@st.composite
+def loop_free_multigraphs(draw):
+    """2 to 6 vertices and up to 12 edges, parallel edges allowed."""
+    n = draw(st.integers(2, 6))
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    return Graph(n, tuple(map(tuple, draw(st.lists(pair, max_size=12)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(loop_free_multigraphs(), st.integers(1, 3), st.data())
+def test_forest_partition_paths_and_undo_on_random_runs(graph, k, data):
+    part = _ForestPartition(graph, k)
+    marks = [(part.snapshot(), part.forest_sets())]
+    for _ in range(data.draw(st.integers(10, 30))):
+        # inserts weigh double, so runs fill their forests and push edges
+        # between them before a restore takes the moves back
+        op = data.draw(st.sampled_from(("insert", "insert", "snapshot", "restore")))
+        if op == "insert":
+            free = [e for e in graph.edge_ids() if e not in part.owner]
+            if free:
+                part.try_insert(data.draw(st.sampled_from(free)))
+        elif op == "snapshot":
+            marks.append((part.snapshot(), part.forest_sets()))
+        else:
+            at = data.draw(st.integers(0, len(marks) - 1))
+            del marks[at + 1:]
+            mark, sets = marks[at]
+            part.restore(mark)
+            assert part.forest_sets() == sets
+        sets = part.forest_sets()
+        for j, forest in enumerate(sets):
+            assert subgraph_rank(graph, forest) == len(forest)
+            for source in range(graph.vertex_count):
+                for target in range(graph.vertex_count):
+                    assert part._forest_path(j, source, target) == _bfs_forest_path(
+                        graph, forest, source, target
+                    )
 
 
 def test_union_rank_frozen_values():
