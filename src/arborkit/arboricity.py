@@ -31,7 +31,10 @@ node and two uncuttable arcs to its endpoints) cuts q |E| minus the same
 excess at its best edge nodes. The two cut functions differ by a constant,
 so they have the same minimizers, and the minimal and the maximal min-cut
 source sides are the same sets in both. Which endpoint takes an edge's
-load moves only the constant.
+load moves only the constant. One generator, _min_cuts, builds and solves
+these networks, one per free vertex in order, and yields each with its
+excess: the threshold test stops at the first positive excess, and the
+density loop reads the min-cut sides itself.
 
 Every step either produces a strictly denser subset or certifies
 that none beats lambda, so the candidate densities visited strictly
@@ -167,47 +170,27 @@ def _core(pairs: list[tuple[int, int]], chain: list, k: int) -> list[tuple[int, 
     return [(u, v) for u, v in pairs if u not in out and v not in out]
 
 
-def _improving_subset(
-    pairs: list[tuple[int, int]], lam: Fraction, stop_at_first: bool = False
-) -> tuple[bool, frozenset[int] | None]:
-    """One pass of min cuts at lam over the sorted (lower, upper) pairs of a
-    loop-free multigraph.
-
-    Returns (True, S) with |E(S)| - lam (|S| - 1) maximal and > 0 when some
-    set has positive excess; with stop_at_first, (True, None) at the first
-    flow that finds one, with no min-cut side built, since the threshold test
-    reads only the flag. Otherwise returns (False, W): W is None with
-    stop_at_first or when lam is above gamma_f, and at lam = gamma_f, where
-    the density loop's last pass runs (the loop starts at a peeled set's
-    density and moves only to the densities of real sets), the largest
-    densest set, the one with the lowest lowest vertex on a tie.
+def _min_cuts(pairs: list[tuple[int, int]], lam: Fraction):
+    """The min cuts at lam over the sorted (lower, upper) pairs of a
+    loop-free multigraph, the one place where flows are built.
 
     One min cut is solved per vertex v = 0, 1, ..., over the edges among
     v..n-1, on the load network of the module docstring; a v that is the
-    lower endpoint of no edge is skipped. Nodes: 0 source, 1 sink, then one
-    per vertex in order, v first. Each edge loads its endpoint with the
-    smaller load so far, the upper one on a tie or when the lower one is v,
-    which keeps the overload, and so the flow, small; the loaded endpoint
-    gets the edge's arc.
-
-    An improving set is the minimal min-cut source side of the first vertex
-    whose flow reaches the largest excess; it fixes the next lam, never the
-    witness. At lam = gamma_f the maximal source side for v (the nodes that
-    cannot reach the sink) is the union of the densest sets whose lowest
-    vertex is v, and densest too, since they share v. Densest sets that meet
-    unite into a densest set, so the largest ones are disjoint, and the
-    largest side of two or more vertices, first v on a tie, is the witness.
+    lower endpoint of no edge is skipped. Yields (verts, net, excess) after
+    each max flow: verts the vertices of the suffix in order, v first, whose
+    nodes are 2, 3, ... (0 is the source and 1 the sink), net the solved
+    network, and excess the largest |E(S)| - lam (|S| - 1) over the sets S
+    whose lowest vertex is v. Each edge loads its endpoint with the smaller
+    load so far, the upper one on a tie or when the lower one is v, which
+    keeps the overload, and so the flow, small; the loaded endpoint gets the
+    edge's arc.
     """
     p, q = lam.numerator, lam.denominator
-    best_excess = 0
-    best: frozenset[int] | None = None
-    widest = 1  # a witness side holds two or more vertices
     for start, (free, _) in enumerate(pairs):
         if start and pairs[start - 1][0] == free:
             continue
         edges = pairs[start:]
         verts = sorted({x for e in edges for x in e})
-        # nodes: 0 source, 1 sink, then one per vertex in order
         node = {x: i for i, x in enumerate(verts, 2)}
         count = 2 + len(verts)
         net = MaxFlow(count)
@@ -227,19 +210,7 @@ def _improving_subset(
                 net.add_edge(0, a, -room)
             elif room:
                 net.add_edge(a, 1, room)
-        excess = overload - net.max_flow(0, 1)
-        if excess > best_excess:
-            if stop_at_first:
-                return True, None
-            side = net.min_cut_source_side(0)
-            best_excess = excess
-            best = frozenset(x for x in verts if node[x] in side)
-        elif not (best_excess or stop_at_first) and len(verts) > widest:
-            reach = net.min_cut_sink_side(1)
-            side = frozenset(x for x in verts if node[x] not in reach)
-            if len(side) > widest:
-                best, widest = side, len(side)
-    return best_excess > 0, best
+        yield verts, net, overload - net.max_flow(0, 1)
 
 
 def fractional_arboricity(graph: Graph) -> FracArbResult:
@@ -269,9 +240,29 @@ def fractional_arboricity(graph: Graph) -> FracArbResult:
         steps += 1
         if steps > (graph.edge_count + 1) * (n + 1):
             raise AssertionError("internal error: density iteration failed to terminate")
-        improving, subset = _improving_subset(pairs, lam)
-        subset = frozenset(used[x] for x in subset or ())
-        if not improving:
+        # An improving set is the minimal min-cut source side of the first
+        # vertex whose flow reaches the largest excess; it fixes the next
+        # lam, never the witness. With no positive excess lam = gamma_f (the
+        # loop starts at a peeled set's density and moves only to densities
+        # of real sets), and the maximal source side for v (the nodes that
+        # cannot reach the sink) is the union of the densest sets whose
+        # lowest vertex is v, densest too, since they share v. Densest sets
+        # that meet unite into a densest set, so the largest ones are
+        # disjoint, and the largest side of two or more vertices, first v on
+        # a tie, is the witness.
+        best_excess, widest, subset = 0, 1, ()
+        for verts, net, excess in _min_cuts(pairs, lam):
+            if excess > best_excess:
+                side = net.min_cut_source_side(0)
+                best_excess = excess
+                subset = [x for i, x in enumerate(verts, 2) if i in side]
+            elif not best_excess and len(verts) > widest:
+                reach = net.min_cut_sink_side(1)
+                side = [x for i, x in enumerate(verts, 2) if i not in reach]
+                if len(side) > widest:
+                    subset, widest = side, len(side)
+        subset = frozenset(used[x] for x in subset)
+        if not best_excess:
             if len(subset) < 2 or _density(graph, subset) != lam:
                 raise AssertionError("internal error: the density witness does not reach the value")
             return FracArbResult(value=lam, witness_vertices=subset)
@@ -356,7 +347,7 @@ def fractional_arboricity_at_most(graph: Graph, bound) -> bool:
         chain.append(step)
     # a set of positive excess leaves one with every inside degree > bound
     pairs = _core(pairs, chain, math.floor(bound) + 1)
-    return not _improving_subset(pairs, bound, stop_at_first=True)[0]
+    return all(excess <= 0 for _, _, excess in _min_cuts(pairs, bound))
 
 
 def arboricity(graph: Graph) -> ArboricityResult:

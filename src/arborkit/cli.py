@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .arboricity import arboricity, fractional_arboricity, partition_into_forests
@@ -153,14 +154,19 @@ def cmd_verify(args) -> int:
     kind = doc.get("kind", "matching")
     d = args.d if args.d is not None else doc.get("d")
     check_remainder(kind, d)
+    # the parts become sets below, so a repeat inside one is refused here
+    named = [(f"forest {i}", f) for i, f in enumerate(doc["forests"])]
+    named.append(("remainder", doc.get("remainder") or []))
+    for name, ids in named:
+        twice = [e for e, count in Counter(ids).items() if count > 1]
+        if twice:
+            print(f"invalid: {name} lists edge {twice[0]} twice")
+            return 1
     forests = tuple(frozenset(f) for f in doc["forests"])
     if doc.get("remainder") is not None:
         remainder = frozenset(doc["remainder"])
     else:
-        covered: set[int] = set()
-        for f in forests:
-            covered |= f
-        remainder = graph.full_edge_set() - covered
+        remainder = graph.full_edge_set().difference(*forests)
     dec = Decomposition(forests=forests, remainder=remainder, kind=kind, degree_bound=d)
     ok, reason = verify_decomposition(graph, dec, args.k, d)
     if ok:

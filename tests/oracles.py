@@ -55,40 +55,25 @@ def brute_frac_arboricity(graph):
     return best
 
 
-def reference_peel(n, pairs, limit=None, densest=False, members=False):
+def reference_peel(n, pairs):
     """Min-degree peeling of a loop-free multigraph on 0..n-1, one plain step
     at a time: every step recounts the degrees inside the live set and drops
-    the lowest vertex of least degree. The chain runs from all n vertices
-    down to one; a set S on it is over when |E(S)| > limit[|S|].
-
-    With no limit, returns the chain: (|S|, |E(S)|, v, d) for each set, v the
-    vertex dropped to reach it and d its degree in the set before (v = -1 and
-    d = 0 for the first set), empty for n < 2. Otherwise returns the first
-    set over as (|E(S)|, |S| - 1), or its vertex set with members; with
-    densest, the densest set over (the first on a tie), or None when no set
-    is over.
+    the lowest vertex of least degree. Returns the chain, from all n vertices
+    down to one: (|S|, |E(S)|, v, d) for each set S, v the vertex dropped to
+    reach it and d its degree in the set before (v = -1 and d = 0 for the
+    first set), empty for n < 2.
     """
     live = set(range(n)) if n >= 2 else set()
-    chain, over = [], []
+    chain = []
     v, d = -1, 0
     while live:
         inside = [(a, b) for a, b in pairs if a in live and b in live]
         chain.append((len(live), len(inside), v, d))
-        if limit is not None and len(inside) > limit[len(live)]:
-            if members:
-                return frozenset(live)
-            over.append((len(inside), len(live) - 1))
         degree = {x: sum((a == x) + (b == x) for a, b in inside) for x in live}
         v = min(live, key=lambda x: (degree[x], x))
         d = degree[v]
         live.remove(v)
-    if limit is None:
-        return chain
-    if not over:
-        return None
-    if not densest:
-        return over[0]
-    return max(over, key=lambda found: Fraction(*found))
+    return chain
 
 
 def brute_core(n, pairs, k):

@@ -391,44 +391,29 @@ def test_peeling_witness_is_sound_and_order_free(drawn, p, q, data):
 
 def _chain_reads(n, edges, limit):
     """What the library reads off _peel's chain: the first set over its limit
-    as (|E(S)|, |S| - 1) and as its vertex set, None when no set is over, and
-    the densest pair on the chain, the largest set on a tie."""
+    as (|E(S)|, |S| - 1), None when no set is over, and the densest pair on
+    the chain, the largest set on a tie."""
     chain = list(_peel(n, edges))
     assert [size for size, _, _, _ in chain] == list(range(n, 0, -1))
-    peeled, first, members = set(), None, None
+    first = None
     top, low = 0, 1
-    for size, inside, v, _ in chain:
-        peeled.add(v)
+    for size, inside, _, _ in chain:
         if first is None and inside > limit[size]:
-            first, members = (inside, size - 1), frozenset(range(n)) - peeled
+            first = (inside, size - 1)
         if inside * low > top * (size - 1):
             top, low = inside, size - 1
-    return first, members, (top, low)
+    return first, (top, low)
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    loop_free_pair_lists(),
-    st.integers(1, 16),
-    st.integers(1, 6),
-    st.lists(st.integers(0, 14), min_size=8, max_size=8),
-)
-@example((4, [(3, 1), (1, 0), (0, 2)]), 1, 1, [0] * 8)  # both ends of a path tie, twice
-@example((6, [(1, 2), (2, 3), (1, 3), (2, 3)]), 3, 2, [0, 0, 0, 2, 9, 9, 9, 9])  # isolated 0, 4, 5
-def test_peeling_matches_the_reference_peel(drawn, p, q, limit):
+@given(loop_free_pair_lists())
+@example((4, [(3, 1), (1, 0), (0, 2)]))  # both ends of a path tie, twice
+@example((6, [(1, 2), (2, 3), (1, 3), (2, 3)]))  # isolated 0, 4, 5
+def test_peeling_matches_the_reference_peel(drawn):
     n, edges = drawn
     # every step: the set's size and edge count, the vertex peeled to reach
     # it and that vertex's live degree, which _core reads
     assert list(_peel(n, edges)) == reference_peel(n, edges)
-    density = _density_limits(n, p, q)
-    first, _, densest = _chain_reads(n, edges, density)
-    assert first == reference_peel(n, edges, density)
-    # the densest set on the chain is over p / q when any set is
-    assert reference_peel(n, edges, density, densest=True) == (densest if first else None)
-    # the remainder witness peels against limits that are no density
-    first, members, _ = _chain_reads(n, edges, limit)
-    assert first == reference_peel(n, edges, limit)
-    assert members == reference_peel(n, edges, limit, members=True)
 
 
 @settings(max_examples=300, deadline=None)
@@ -465,7 +450,7 @@ def test_peeling_is_not_quadratic(shape):
         bound, densest = (1, 1), (n - 1, n - 1)
     start = time.perf_counter()
     limit = _density_limits(n, *bound)
-    assert _chain_reads(n, edges, limit) == (None, None, densest)
+    assert _chain_reads(n, edges, limit) == (None, densest)
     assert time.perf_counter() - start < 2.0
 
 
@@ -591,3 +576,25 @@ def test_density_loop_improves_on_the_peeled_start(monkeypatch):
             improved += 1
             assert res.value == brute_frac_arboricity(graph)
             assert (res.value, res.witness_vertices) == brute_canonical_witness(graph)
+
+
+def test_threshold_test_stops_at_the_first_positive_excess(monkeypatch):
+    # the graph of test_density_loop_improves_on_the_peeled_start: its
+    # densest peeled set reaches 7/5 and no more, so both bounds need flows.
+    # Vertex 0 lies in the densest set {0, 1, 4}, so at 7/5 the first flow
+    # finds a positive excess and ends the test; at 3/2 none does, and every
+    # lower endpoint of the core, 0, 1, 2 and 3, gets its flow
+    flows = []
+    max_flow = MaxFlow.max_flow
+
+    def counted(self, s, t):
+        flows.append(s)
+        return max_flow(self, s, t)
+
+    monkeypatch.setattr(MaxFlow, "max_flow", counted)
+    graph = Graph(6, ((0, 1), (0, 4), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4)))
+    assert not fractional_arboricity_at_most(graph, Fraction(7, 5))
+    assert len(flows) == 1
+    flows.clear()
+    assert fractional_arboricity_at_most(graph, Fraction(3, 2))
+    assert len(flows) == 4

@@ -229,6 +229,20 @@ def test_verify_rejects_bad_document(graph_file, tmp_path, capsys):
     assert main(["verify", f, "--k", "1", "--decomposition", str(dec_path)]) == 2
 
 
+@pytest.mark.parametrize("doc,reason", [
+    ({"forests": [[0, 0, 1]], "remainder": [2, 2], "kind": "matching"}, "forest 0 lists edge 0 twice"),
+    ({"forests": [[0, 1]], "remainder": [2, 2], "kind": "matching"}, "remainder lists edge 2 twice"),
+    ({"forests": [[0, 1, 1]]}, "forest 0 lists edge 1 twice"),
+])
+def test_verify_refuses_an_edge_listed_twice_in_one_part(graph_file, tmp_path, capsys, doc, reason):
+    # each part is read into a set, where a repeat would vanish unseen
+    f = graph_file("tri.txt", cycle(3))
+    dec_path = tmp_path / "dup.json"
+    dec_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", f, "--k", "1", "--decomposition", str(dec_path)]) == 1
+    assert capsys.readouterr().out == f"invalid: {reason}\n"
+
+
 @pytest.mark.parametrize("doc", [
     {"forests": 5},
     {"forests": [[0]], "d": "x", "kind": "forest"},
