@@ -80,10 +80,14 @@ to one vertex, so the step that splits the last pair counts too, with the
 pair's multiplicity as its degree. A sparse tail on a dense knot costs no
 flows.
 
-arboricity partitions into k = 1, 2, ... forests until a partition exists.
-Its witness is the vertex set S of the violating edge set T of the last
-failed k. T is connected, so |T| > k r(T) reads |T| > k (|S| - 1), and the
-density of S has the arboricity, k + 1, as its ceiling.
+arboricity partitions into k forests for k = max(1, c - 1), c, ... until a
+partition exists, c being the density ceiling of the whole graph over the
+vertices its edges touch. No k below c fits, so a first k above 1 fails;
+when the first k succeeds the graph is a forest, and the endpoints of its
+first edge, a set of density 1, are the witness. Otherwise the witness is
+the vertex set S of the violating edge set T of the last failed k. T is
+connected, so |T| > k r(T) reads |T| > k (|S| - 1), and the density of S
+has the arboricity, k + 1, as its ceiling.
 """
 
 from __future__ import annotations

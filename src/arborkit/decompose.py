@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .arboricity import _edges_within, _peel, _touched_pairs
-from .graphs import Graph, check_edge_subset, graph_stats
+from .graphs import Graph, _spanning_forest_size, check_edge_subset
 from .limits import BOUNDED_SEARCH_DEFAULT, check_gate
 from .matroid import _ForestPartition, matroid_partition
 
@@ -282,24 +282,25 @@ def verify_decomposition(
         return False, "parts not disjoint"
     if union != graph.full_edge_set():
         return False, "parts do not cover all edges"
+    ends = graph.endpoints
     for i, p in enumerate(parts):
-        if not graph_stats(graph, p).is_forest:
+        if _spanning_forest_size(ends[e] for e in p) != len(p):
             return False, f"forest {i} contains a cycle"
-    rem_stats = graph_stats(graph, rem)
+    # a loop counts twice at its vertex, so no matching holds one
+    degs: dict[int, int] = {}
+    for e in rem:
+        u, v = ends[e]
+        degs[u] = degs.get(u, 0) + 1
+        degs[v] = degs.get(v, 0) + 1
     if dec.kind == "matching":
-        if not rem_stats.is_matching:
+        if any(c > 1 for c in degs.values()):
             return False, "remainder is not a matching"
         return True, None
     bound = d if d is not None else dec.degree_bound
     if bound is None:
         return False, "missing degree bound for the remainder"
-    degs: dict[int, int] = {}
-    for e in rem:
-        u, v = graph.endpoints[e]
-        degs[u] = degs.get(u, 0) + 1
-        degs[v] = degs.get(v, 0) + 1
-    if degs and max(degs.values()) > bound:
+    if any(c > bound for c in degs.values()):
         return False, f"remainder degree exceeds {bound}"
-    if dec.kind == "forest" and not rem_stats.is_forest:
+    if dec.kind == "forest" and _spanning_forest_size(ends[e] for e in rem) != len(rem):
         return False, "remainder contains a cycle"
     return True, None

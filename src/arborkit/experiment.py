@@ -56,8 +56,6 @@ class ExperimentConfig:
             raise ValueError("trials must be positive")
         if any(k < 1 for k in self.k_values):
             raise ValueError("k values must be positive")
-        if any(n < 0 for n in self.n_values):
-            raise ValueError("n values must be nonnegative")
         if self.selector in ("theorem2i", "theorem2ii") and any(k != 1 for k in self.k_values):
             raise ValueError(f"selector {self.selector} is defined for k=1 only")
         if self.selector == "custom" and self.custom_bound is None:

@@ -261,11 +261,8 @@ def matroid_partition(
 
 def union_rank(graph: Graph, k: int, subset: Iterable[int]) -> int:
     """Rank of the subset in the k-fold union of the cycle matroid."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    edges = check_edge_subset(graph, subset)
-    _, uncovered, _ = matroid_partition(graph, k, edges)
-    return len(edges) - len(uncovered)
+    part, _, _ = matroid_partition(graph, k, subset)
+    return len(part.owner)
 
 
 def _bit_lanes(count: int, bit: int) -> int:

@@ -6,6 +6,7 @@ or INFINITE. Floats never appear in results.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import total_ordering
 
@@ -49,20 +50,14 @@ def ceil_value(value):
     """Ceiling of a Fraction or int; INFINITE passes through."""
     if is_infinite(value):
         return INFINITE
-    frac = Fraction(value)
-    return -((-frac.numerator) // frac.denominator)
+    return math.ceil(value)
 
 
 def format_value(value) -> str:
     """Render as "p/q", a bare integer string, or "INFINITE"."""
     if is_infinite(value):
         return "INFINITE"
-    if isinstance(value, int):
-        return str(value)
-    frac = Fraction(value)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
+    return str(Fraction(value))
 
 
 def parse_fraction(text: str) -> Fraction:

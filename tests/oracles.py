@@ -45,14 +45,9 @@ def brute_frac_arboricity(graph):
     """max |E(S)| / (|S| - 1) over vertex subsets, or None on a loop."""
     if any(u == v for u, v in graph.endpoints):
         return None
-    best = Fraction(0)
-    n = graph.vertex_count
-    for size in range(2, n + 1):
-        for combo in combinations(range(n), size):
-            inside = set(combo)
-            m = sum(1 for u, v in graph.endpoints if u in inside and v in inside)
-            best = max(best, Fraction(m, size - 1))
-    return best
+    if graph.vertex_count < 2:
+        return Fraction(0)
+    return brute_canonical_witness(graph)[0]
 
 
 def reference_peel(n, pairs):
@@ -91,9 +86,9 @@ def brute_core(n, pairs, k):
 
 
 def brute_canonical_witness(graph):
-    """(gamma_f, W) of a loop-free graph with an edge: W is the largest
-    vertex set of density gamma_f, and on a tie in size the one whose
-    lowest vertex is lowest."""
+    """(gamma_f, W) of a loop-free graph on two or more vertices: W is the
+    largest vertex set of density gamma_f, and on a tie in size the one
+    whose lowest vertex is lowest."""
     n = graph.vertex_count
     best = None
     for size in range(2, n + 1):
@@ -322,6 +317,32 @@ def brute_decomposable(graph, k, kind, d=None):
         for rem in remainders
         if m - len(rem) <= room
     )
+
+
+def brute_decomposition_ok(graph, dec, k, d=None):
+    """Whether dec is k forests plus a remainder of its kind that together
+    hold every edge id of the graph exactly once. A forest has rank equal to
+    its size; a matching remainder has no loop and no two edges at one
+    vertex; a forest or graph remainder has degree at most d at every vertex
+    it touches (d from dec.degree_bound when not given; a loop counts twice),
+    and a forest one has rank equal to its size too."""
+    if dec.kind not in ("matching", "forest", "graph") or len(dec.forests) != k:
+        return False
+    ids = [e for part in dec.forests + (dec.remainder,) for e in part]
+    if sorted(ids) != list(range(graph.edge_count)):
+        return False
+    if any(subgraph_rank(graph, f) != len(f) for f in dec.forests):
+        return False
+    ends = [graph.endpoints[e] for e in dec.remainder]
+    if dec.kind == "matching":
+        # a loop, or two edges at one vertex, leaves fewer distinct ends
+        return len({x for pair in ends for x in pair}) == 2 * len(ends)
+    bound = d if d is not None else dec.degree_bound
+    if bound is None:
+        return False
+    if any(sum((u == x) + (v == x) for u, v in ends) > bound for pair in ends for x in pair):
+        return False
+    return dec.kind == "graph" or subgraph_rank(graph, dec.remainder) == len(ends)
 
 
 def brute_arboricity(graph):

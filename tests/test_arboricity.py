@@ -33,7 +33,13 @@ from helpers import (
     petersen,
     star,
 )
-from oracles import brute_canonical_witness, brute_core, brute_frac_arboricity, reference_peel
+from oracles import (
+    brute_arboricity,
+    brute_canonical_witness,
+    brute_core,
+    brute_frac_arboricity,
+    reference_peel,
+)
 
 
 FROZEN_FRAC = [
@@ -467,13 +473,13 @@ def test_long_pendant_path_leaves_the_knot_alone():
 
 
 @st.composite
-def loop_free_multigraphs(draw):
-    """2..9 vertices and 1..18 edges, parallel edges allowed, no loops;
-    vertices that no edge touches stay isolated."""
-    n = draw(st.integers(2, 9))
+def loop_free_multigraphs(draw, max_n=9, max_m=18):
+    """2..max_n vertices and 1..max_m edges, parallel edges allowed, no
+    loops; vertices that no edge touches stay isolated."""
+    n = draw(st.integers(2, max_n))
     pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
         lambda t: tuple(sorted((t[0], (t[0] + t[1]) % n))))
-    return Graph(n, tuple(sorted(draw(st.lists(pair, min_size=1, max_size=18)))))
+    return Graph(n, tuple(sorted(draw(st.lists(pair, min_size=1, max_size=max_m)))))
 
 
 @settings(max_examples=300, deadline=None)
@@ -481,6 +487,14 @@ def loop_free_multigraphs(draw):
 def test_frac_witness_is_the_largest_densest_set(graph):
     res = fractional_arboricity(graph)
     assert (res.value, res.witness_vertices) == brute_canonical_witness(graph)
+
+
+@settings(max_examples=300, deadline=None)
+@given(loop_free_multigraphs(max_n=6, max_m=9))
+def test_arboricity_against_brute(graph):
+    res = arboricity(graph)
+    assert res.value == brute_arboricity(graph)
+    assert math.ceil(density(graph, res.witness_vertices)) == res.value
 
 
 @st.composite

@@ -489,6 +489,11 @@ def test_experiment_usage_error(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "jobs must be positive" in captured.err
+    argv = ["experiment", "--selector", "theorem5", "--n-range=-1", "--trials", "1", "--seed", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n must be nonnegative" in captured.err
 
 
 def test_unknown_command_usage_error():

@@ -20,7 +20,7 @@ from arborkit import (
     verify_decomposition,
 )
 from helpers import complete_graph, cycle, doubled_cycle, path, petersen, star
-from oracles import brute_decomposable, maximal_matchings_brute
+from oracles import brute_decomposable, brute_decomposition_ok, maximal_matchings_brute
 
 
 def test_threshold_constants():
@@ -449,3 +449,40 @@ def test_verify_decomposition_clauses():
     bad = Decomposition(forests=(), remainder=frozenset(), kind="blob")
     ok, reason = verify_decomposition(Graph(0, ()), bad, 0)
     assert not ok and "blob" in reason
+
+
+@st.composite
+def checker_inputs(draw):
+    """(graph, decomposition, k, d): a multigraph on 1..5 vertices with 0..8
+    edges, loops and parallel edges allowed, and each edge id put in one of
+    k forests or the remainder, or left out; then perhaps ids put in a second
+    part or out of range, and perhaps one forest too many or too few."""
+    n = draw(st.integers(1, 5))
+    vertex = st.integers(0, n - 1)
+    graph = Graph(n, tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=8))))
+    k = draw(st.integers(0, 3))
+    count = {3: max(k - 1, 0), 4: k + 1}.get(draw(st.integers(0, 4)), k)
+    parts = [set() for _ in range(count + 1)]  # the last one is the remainder
+    for e in graph.edge_ids():
+        where = draw(st.integers(-1 if draw(st.booleans()) else 0, count))
+        if where >= 0:
+            parts[where].add(e)
+    for e, where in draw(st.lists(st.tuples(st.integers(-1, graph.edge_count + 1),
+                                            st.integers(0, count)), max_size=2)):
+        parts[where].add(e)
+    dec = Decomposition(
+        forests=tuple(frozenset(p) for p in parts[:-1]),
+        remainder=frozenset(parts[-1]),
+        kind=draw(st.sampled_from(("matching", "forest", "graph"))),
+        degree_bound=draw(st.sampled_from((None, 1, 2, 3))),
+    )
+    return graph, dec, k, draw(st.sampled_from((None, 0, 1, 2, 3)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(checker_inputs())
+def test_verify_decomposition_against_the_definitions(inputs):
+    graph, dec, k, d = inputs
+    ok, reason = verify_decomposition(graph, dec, k, d)
+    assert ok == brute_decomposition_ok(graph, dec, k, d)
+    assert (reason is None) == ok

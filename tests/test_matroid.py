@@ -143,6 +143,8 @@ def test_partition_at_zero():
 def test_partition_rejects_negative_k():
     with pytest.raises(ValueError):
         partition_into_forests(cycle(3), -1)
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        union_rank(cycle(3), -1, range(3))
 
 
 def test_forest_partition_restore_returns_to_mark():

@@ -46,15 +46,22 @@ def test_ceil_value():
     assert ceil_value(Fraction(6, 5)) == 2
     assert ceil_value(Fraction(2)) == 2
     assert ceil_value(Fraction(-3, 2)) == -1
+    assert ceil_value(Fraction(-6, 3)) == -2
+    assert ceil_value(Fraction(0)) == 0
     assert ceil_value(0) == 0
     assert ceil_value(7) == 7
+    assert ceil_value(10**30) == 10**30
     assert is_infinite(ceil_value(INFINITE))
 
 
 def test_format_value():
     assert format_value(Fraction(3, 2)) == "3/2"
     assert format_value(Fraction(8, 4)) == "2"
+    assert format_value(Fraction(-3, 2)) == "-3/2"
+    assert format_value(Fraction(-6, 3)) == "-2"
+    assert format_value(Fraction(0)) == "0"
     assert format_value(7) == "7"
+    assert format_value(10**30) == "1" + "0" * 30
     assert format_value(INFINITE) == "INFINITE"
 
 
