@@ -54,6 +54,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown selector {self.selector!r}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if not self.k_values or not self.n_values:
+            raise ValueError("a sweep needs at least one k value and one n value")
         if any(k < 1 for k in self.k_values):
             raise ValueError("k values must be positive")
         if self.selector in ("theorem2i", "theorem2ii") and any(k != 1 for k in self.k_values):

@@ -26,10 +26,11 @@ remainder in a one-forest _ForestPartition: an edge whose endpoints climb
 to two different roots there closes no cycle. union_rank_table does not
 augment per subset: it evaluates the union formula r_k(X) = min over T of
 |X - T| + k * r(T) (Nash-Williams 1966; Edmonds 1968) for every X at once,
-from a cycle-rank table built edge by edge and a subset-min transform, and
-checks the full set against the augmenting search. Flats come from one
-scan of a rank table, flat_masks. The brute-force evaluation of the
-formula, one X at a time, lives with the test oracles.
+from a cycle-rank table built edge by edge and a subset-min transform, both
+run in pieces of _LANE_PIECE lanes (the cycle-rank build holds n ints of one
+piece), and checks the full set against the augmenting search. Flats come
+from one scan of a rank table, flat_masks. The brute-force evaluation of
+the formula, one X at a time, lives with the test oracles.
 
 All run on byte lanes: a table over the subsets of m elements is 2^m bytes,
 the value for bitmask X in byte X, read as one Python int with byte X in
@@ -49,7 +50,7 @@ from typing import Iterable
 from .graphs import Graph, _spanning_forest_size, check_edge_subset
 from .limits import DeskScaleExceeded, UNION_TABLE_HARD_CAP
 
-_LANE_PIECE = 1 << 13  # byte lanes in one piece of union_rank_table's transform
+_LANE_PIECE = 1 << 13  # byte lanes in one piece of the cycle-rank build and the union transform
 
 
 def cycle_rank(graph: Graph, subset: Iterable[int]) -> int:
@@ -284,38 +285,45 @@ def _lane_min(s: int, cand: int, guard: int) -> int:
     return s ^ ((s ^ cand) & (take >> 7) * 0xFF)
 
 
-def _cycle_rank_lanes(graph: Graph) -> bytes:
+def _cycle_rank_lanes(graph: Graph) -> bytearray:
     """The cycle rank r(T) in byte T for every edge subset T.
 
     Edge e doubles the table over the subsets of the edges before it:
     r(T + e) = r(T) + 1 - J(T), where J(T) is 1 when T joins e's endpoints
-    u and v (always, for a loop). reach[x] holds 0xff in lane T when T joins
-    u to x: from reach[u] all 0xff, each earlier edge f sets both endpoints
-    in the lanes that hold f and reach just one of them, until a round over
-    the edges sets nothing. Those lanes are rebuilt per use, not kept per
-    edge, for peak memory.
+    u and v (always, for a loop). Lanes are independent, so each piece of
+    min(2^e, _LANE_PIECE) lanes is solved alone, and reach holds n ints of
+    one piece: 0xff in lane T of reach[x] when T joins u to x. From reach[u]
+    all 0xff, each earlier edge f sets both endpoints in the lanes that hold
+    f and reach just one of them, until a round over the edges sets nothing.
+    An f below the piece width takes its lanes from a mask built once at the
+    widest piece, which & cuts to the piece; an f at or above it is in every
+    lane of the piece (mask -1) or in none (left out).
     """
     endpoints = graph.endpoints
-    ranks = 0
+    ranks = bytearray(1 << len(endpoints))
+    widest = min(len(ranks) >> 1, _LANE_PIECE)
+    masks = [_bit_lanes(widest, f) for f in range(widest.bit_length() - 1)]
     for e, (u, v) in enumerate(endpoints):
         count = 1 << e
-        ones = int.from_bytes(b"\x01" * count, "little")
-        reach = [0] * graph.vertex_count
-        reach[u] = ones * 0xFF
-        changed = True
-        while changed:
-            changed = False
-            for f in range(e):
-                a, b = endpoints[f]
-                diff = reach[a] ^ reach[b]  # 0 for a loop, or nothing to spread
-                if diff:
-                    diff &= _bit_lanes(count, f)
+        width = min(count, _LANE_PIECE)
+        ones = int.from_bytes(b"\x01" * width, "little")
+        below = [(*endpoints[f], masks[f]) for f in range(width.bit_length() - 1)]
+        for at in range(0, count, width):
+            spread = below + [(*endpoints[f], -1) for f in range(len(below), e) if at >> f & 1]
+            reach = [0] * graph.vertex_count
+            reach[u] = ones * 0xFF
+            changed = True
+            while changed:
+                changed = False
+                for a, b, mask in spread:
+                    diff = (reach[a] ^ reach[b]) & mask  # 0 for a loop, or nothing to spread
                     if diff:
                         reach[a] |= diff
                         reach[b] |= diff
                         changed = True
-        ranks |= (ranks + ones - (reach[v] & ones)) << 8 * count
-    return ranks.to_bytes(1 << len(endpoints), "little")
+            low = int.from_bytes(ranks[at:at + width], "little")
+            ranks[count + at:count + at + width] = (low + ones - (reach[v] & ones)).to_bytes(width, "little")
+    return ranks
 
 
 def union_rank_table(graph: Graph, k: int) -> bytes:

@@ -62,12 +62,11 @@ def format_value(value) -> str:
 
 def parse_fraction(text: str) -> Fraction:
     """Parse "p/q" or a bare integer string into an exact Fraction."""
-    parts = text.strip().split("/")
-    if len(parts) == 1:
-        return Fraction(int(parts[0]))
-    if len(parts) == 2:
-        num, den = int(parts[0]), int(parts[1])
-        if den <= 0:
-            raise ValueError(f"denominator must be positive in {text!r}")
-        return Fraction(num, den)
-    raise ValueError(f"not a rational literal: {text!r}")
+    num, slash, den = text.strip().partition("/")
+    try:
+        num, den = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError(f"not a rational literal: {text!r}") from None
+    if den <= 0:
+        raise ValueError(f"denominator must be positive in {text!r}")
+    return Fraction(num, den)

@@ -405,6 +405,9 @@ def test_gen_errors(capsys):
     # more edges than a simple graph holds: usage error
     assert main(["gen", "--n", "2", "--bound", "3", "--seed", "0", "-o", "-"]) == 2
     assert "error:" in capsys.readouterr().err
+    # a decimal bound is not a rational literal: usage error
+    assert main(["gen", "--n", "5", "--bound", "1.5", "--seed", "0", "-o", "-"]) == 2
+    assert "not a rational literal: '1.5'" in capsys.readouterr().err
     # exhausted rejection budget: negative result
     rc = main(
         ["gen", "--n", "6", "--bound", "6/5", "--seed", "0", "--max-rejections", "1", "-o", "-"]

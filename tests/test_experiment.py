@@ -38,6 +38,13 @@ def test_selector_validation():
         small_config(k_values=(0,))
 
 
+def test_empty_sweep_is_refused():
+    # no k or no n would run no cell, and with no k no GenSpec would check n
+    for k_values, n_values in (((), (6,)), ((1,), ()), ((), (-1,))):
+        with pytest.raises(ValueError, match="at least one k value and one n value"):
+            small_config(k_values=k_values, n_values=n_values)
+
+
 def test_custom_bound_below_one_is_refused_before_any_cell():
     # the n = 1 cell would run before the generator refused n = 5
     with pytest.raises(ValueError, match="target_bound must be at least 1 when n > 1"):

@@ -373,7 +373,8 @@ def test_union_rank_table_matches_augmenting_on_corpus(multigraph_corpus):
 @pytest.mark.parametrize("piece", [1, 2, 8])
 def test_union_rank_table_cut_into_small_pieces(monkeypatch, multigraph_corpus, piece):
     # tables up to 13 edges fit one piece of lanes; a piece of 1, 2 or 8
-    # lanes runs the step that pairs whole pieces, as tables past 13 edges do
+    # lanes runs the step that pairs whole pieces, as tables past 13 edges do,
+    # and cuts the cycle-rank build into pieces too
     monkeypatch.setattr(matroid, "_LANE_PIECE", piece)
     graphs = [g for g in multigraph_corpus if 8 <= g.edge_count <= 10][:8]
     assert len(graphs) == 8
@@ -383,12 +384,26 @@ def test_union_rank_table_cut_into_small_pieces(monkeypatch, multigraph_corpus, 
 
 
 @st.composite
-def small_multigraphs(draw):
-    """Up to 5 vertices and 8 edges, loops and parallel edges allowed."""
+def small_multigraphs(draw, max_m=8):
+    """Up to 5 vertices and max_m edges, loops and parallel edges allowed."""
     n = draw(st.integers(1, 5))
     vertex = st.integers(0, n - 1)
-    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=max_m))
     return Graph(n, tuple(edges))
+
+
+@pytest.mark.parametrize("piece", [1, 2, 8, matroid._LANE_PIECE])
+@settings(max_examples=100, deadline=None)
+@given(g=small_multigraphs(max_m=10))
+def test_cycle_rank_lanes_against_the_definition(piece, g):
+    # pieces of 1, 2 or 8 lanes leave the edges at or above the piece width
+    # whole in each piece, as the default piece does past 13 edges
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matroid, "_LANE_PIECE", piece)
+        ranks = matroid._cycle_rank_lanes(g)
+    assert len(ranks) == 1 << g.edge_count
+    for mask, got in enumerate(ranks):
+        assert got == subgraph_rank(g, edge_set(mask)), (g.endpoints, mask)
 
 
 @settings(max_examples=200, deadline=None)
@@ -438,8 +453,7 @@ def test_union_rank_table_hard_cap():
 
 
 def test_union_rank_table_at_the_hard_cap():
-    # the largest table the cap admits: 20 edges of K8 at k = 2, about 0.6 s
-    # with the checks
+    # the largest table the cap admits: 20 edges of K8 at k = 2
     g = Graph(8, complete_graph(8).endpoints[:20])
     table = union_rank_table(g, 2)
     assert type(table) is bytes

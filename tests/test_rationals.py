@@ -74,5 +74,10 @@ def test_parse_fraction_roundtrip():
 
 @pytest.mark.parametrize("bad", ["", "3/0", "3/-1", "a/b", "1.5", "1/2/3"])
 def test_parse_fraction_rejects(bad):
-    with pytest.raises(ValueError):
+    if bad in ("3/0", "3/-1"):
+        expected = f"denominator must be positive in {bad!r}"
+    else:
+        expected = f"not a rational literal: {bad!r}"
+    with pytest.raises(ValueError) as err:
         parse_fraction(bad)
+    assert str(err.value) == expected
