@@ -33,8 +33,8 @@ so they have the same minimizers, and the minimal and the maximal min-cut
 source sides are the same sets in both. Which endpoint takes an edge's
 load moves only the constant. One generator, _min_cuts, builds and solves
 these networks, one per free vertex in order, and yields each with its
-excess: the threshold test stops at the first positive excess, and the
-density loop reads the min-cut sides itself.
+excess, and both readers, the threshold test and the density loop, stop at
+the first positive excess: only a pass that certifies runs to the end.
 
 Every step either produces a strictly denser subset or certifies
 that none beats lambda, so the candidate densities visited strictly
@@ -66,8 +66,9 @@ with deg_S(v) < lambda would leave S - v strictly better, and every inside
 degree is at least lambda; a pair of positive excess has multiplicity above
 lambda. At lambda = gamma_f the largest excess is 0, so this holds for every
 densest set. The density loop starts at lambda0, the density of the densest
-peeled set, so every set it finds, and its witness, lies in the
-ceil(lambda0)-core. The core's pairs keep their own labels, since each flow
+peeled set, and only grows, so each set of largest excess lies in the
+ceil(lambda0)-core, and a pass over the core finds a positive excess when
+the graph has one. The core's pairs keep their own labels, since each flow
 numbers its nodes by rank among the vertices of its suffix anyway. For the
 threshold test at bound b, an inclusion-minimal set of largest positive
 excess has every inside degree above b, so it lies in the (floor(b) + 1)-core,
@@ -244,33 +245,31 @@ def fractional_arboricity(graph: Graph) -> FracArbResult:
         steps += 1
         if steps > (graph.edge_count + 1) * (n + 1):
             raise AssertionError("internal error: density iteration failed to terminate")
-        # An improving set is the minimal min-cut source side of the first
-        # vertex whose flow reaches the largest excess; it fixes the next
-        # lam, never the witness. With no positive excess lam = gamma_f (the
-        # loop starts at a peeled set's density and moves only to densities
-        # of real sets), and the maximal source side for v (the nodes that
-        # cannot reach the sink) is the union of the densest sets whose
-        # lowest vertex is v, densest too, since they share v. Densest sets
-        # that meet unite into a densest set, so the largest ones are
-        # disjoint, and the largest side of two or more vertices, first v on
-        # a tie, is the witness.
-        best_excess, widest, subset = 0, 1, ()
+        # Like the threshold test, a pass stops at the first positive excess;
+        # that vertex's minimal min-cut source side, a real set denser than
+        # lam, gives the next lam. A pass with none certifies lam = gamma_f
+        # (lam starts at a peeled set's density and moves only to densities of
+        # real sets). There the maximal source side for v (the nodes that
+        # cannot reach the sink) is the union of the densest sets whose lowest
+        # vertex is v, densest too, as they share v. Densest sets that meet
+        # unite into one, so the largest ones are disjoint, and the largest
+        # side of two or more vertices, first v on a tie, is the witness.
+        widest, subset = 1, ()
         for verts, net, excess in _min_cuts(pairs, lam):
-            if excess > best_excess:
-                side = net.min_cut_source_side(0)
-                best_excess = excess
-                subset = [x for i, x in enumerate(verts, 2) if i in side]
-            elif not best_excess and len(verts) > widest:
+            if excess > 0:
+                source = net.min_cut_source_side(0)
+                break
+            if len(verts) > widest:
                 reach = net.min_cut_sink_side(1)
                 side = [x for i, x in enumerate(verts, 2) if i not in reach]
                 if len(side) > widest:
                     subset, widest = side, len(side)
-        subset = frozenset(used[x] for x in subset)
-        if not best_excess:
+        else:
+            subset = frozenset(used[x] for x in subset)
             if len(subset) < 2 or _density(graph, subset) != lam:
                 raise AssertionError("internal error: the density witness does not reach the value")
             return FracArbResult(value=lam, witness_vertices=subset)
-        new_lam = _density(graph, subset)
+        new_lam = _density(graph, frozenset(used[x] for i, x in enumerate(verts, 2) if i in source))
         # candidate densities must strictly increase or the search is wrong
         if new_lam <= lam:
             raise AssertionError("internal error: density did not improve")

@@ -46,14 +46,14 @@ def _parse_range(text: str) -> tuple[int, ...]:
     out: list[int] = []
     for token in text.split(","):
         token = token.strip()
-        if ":" in token:
-            lo_text, hi_text = token.split(":", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise ValueError(f"bad span {token!r}: upper end below lower")
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(int(token))
+        lo_text, colon, hi_text = token.partition(":")
+        try:
+            lo, hi = int(lo_text), int(hi_text if colon else lo_text)
+        except ValueError:
+            raise ValueError(f"not an integer or lo:hi span: {token!r}") from None
+        if hi < lo:
+            raise ValueError(f"bad span {token!r}: upper end below lower")
+        out.extend(range(lo, hi + 1))
     return tuple(out)
 
 

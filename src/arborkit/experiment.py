@@ -196,7 +196,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[CellResult]:
         # add about 2.7 MiB to every process that imports arborkit
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             rows = list(pool.map(_run_cell, cells))
     else:
         rows = [_run_cell(cell) for cell in cells]

@@ -612,3 +612,36 @@ def test_threshold_test_stops_at_the_first_positive_excess(monkeypatch):
     flows.clear()
     assert fractional_arboricity_at_most(graph, Fraction(3, 2))
     assert len(flows) == 4
+
+
+def test_density_loop_stops_at_the_first_positive_excess(monkeypatch):
+    # the density loop reads the min-cut stream as the threshold test does:
+    # an improving pass ends at the first vertex with a positive excess, so
+    # only the certifying pass solves one flow per lower endpoint of the core
+    flows = []
+    max_flow = MaxFlow.max_flow
+
+    def counted(self, s, t):
+        flows.append(s)
+        return max_flow(self, s, t)
+
+    monkeypatch.setattr(MaxFlow, "max_flow", counted)
+    # the graph above: at the peeled 7/5 the first flow improves to 3/2,
+    # and the pass at 3/2 certifies with 4 flows; an improving pass that
+    # ran on past the first positive excess would make 8
+    graph = Graph(6, ((0, 1), (0, 4), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4)))
+    res = fractional_arboricity(graph)
+    assert (res.value, res.witness_vertices) == (Fraction(3, 2), frozenset({0, 1, 4}))
+    assert len(flows) == 5
+    # a seeded simple graph with improving passes, where passes that ran to
+    # their end would make 410 flows
+    rng = random.Random(5)
+    n, m = 300, 900
+    edges = set()
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    flows.clear()
+    res = fractional_arboricity(Graph(n, tuple(sorted(edges))))
+    assert res.value == Fraction(178, 57)
+    assert len(res.witness_vertices) == 229
+    assert len(flows) <= 206

@@ -27,8 +27,13 @@ def test_parse_range():
     assert _parse_range("1,3") == (1, 3)
     assert _parse_range("4:6") == (4, 5, 6)
     assert _parse_range("1,4:5,9") == (1, 4, 5, 9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad span '5:2'"):
         _parse_range("5:2")
+    # a token that is neither an integer nor a span is named in the message
+    for text, token in (("1:x", "1:x"), ("", ""), ("1,,2", ""), ("3:", "3:"), ("x", "x")):
+        with pytest.raises(ValueError) as err:
+            _parse_range(text)
+        assert str(err.value) == f"not an integer or lo:hi span: {token!r}"
 
 
 def test_frac_text(graph_file, capsys):
@@ -497,6 +502,12 @@ def test_experiment_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "n must be nonnegative" in captured.err
+    argv = ["experiment", "--selector", "theorem5", "--n-range", "6", "--k-range", "1:x",
+            "--trials", "1", "--seed", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not an integer or lo:hi span: '1:x'\n"
 
 
 def test_unknown_command_usage_error():

@@ -1,3 +1,4 @@
+import concurrent.futures
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,31 @@ def test_parallel_jobs_give_identical_counts():
     strip = lambda rows: [(r.k, r.n, r.generated, r.decomposed, r.verified,
                            r.exhausted, r.gen_failed) for r in rows]
     assert strip(run_experiment(config, jobs=2)) == strip(run_experiment(config, jobs=1))
+
+
+def test_jobs_start_at_most_one_worker_per_cell(monkeypatch):
+    # a stand-in pool that records its size and maps in this process, so
+    # no worker is ever started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    config = small_config(n_values=(5, 6), trials=1)
+    rows = run_experiment(config, jobs=10**6)
+    assert sizes == [2]
+    assert [(r.k, r.n) for r in rows] == [(1, 5), (1, 6)]
 
 
 def test_gen_failures_are_counted_not_fatal():
