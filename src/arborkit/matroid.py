@@ -23,7 +23,11 @@ a climb that reaches a root first means f joins two trees. Its undo log
 makes snapshot() a mark and restore(mark) a roll-back, through which the
 bounded search in decompose.py backtracks. That search also keeps a forest
 remainder in a one-forest _ForestPartition: an edge whose endpoints climb
-to two different roots there closes no cycle. union_rank_table does not
+to two different roots there closes no cycle. The engine checks each answer
+it gives, not each step it takes (McConnell, Mehlhorn, Naher and Schweitzer
+2011), with the one forest count, graphs._spanning_forest_size:
+forest_sets() counts each forest as it reads them, and a failed insertion
+re-counts its L before it returns it. union_rank_table does not
 augment per subset: it evaluates the union formula r_k(X) = min over T of
 |X - T| + k * r(T) (Nash-Williams 1966; Edmonds 1968) for every X at once,
 from a cycle-rank table built edge by edge and a subset-min transform, both
@@ -77,8 +81,11 @@ class _ForestPartition:
     try_insert never places one, and the one-forest remainder of the bounded
     search sees loop-free graphs only. _add raises on an edge whose
     endpoints already share a root, a loop included, before it links, so no
-    fault can leave a parent cycle for a later climb to loop on; and
-    _assert_forest checks owner itself after every augmentation.
+    fault can leave a parent cycle for a later climb to loop on. owner
+    itself is checked where the engine answers, not after each move:
+    forest_sets() counts every forest it reads, and a failed try_insert
+    re-counts its label set. Owner states that a restore undoes before any
+    caller reads them go unchecked.
     """
 
     def __init__(self, graph: Graph, k: int):
@@ -91,9 +98,14 @@ class _ForestPartition:
         self.log: list[tuple[int, int | None, int]] = []
 
     def forest_sets(self) -> tuple[frozenset[int], ...]:
+        """The k forests as owner assigns them, each counted as it is read."""
         sets: list[set[int]] = [set() for _ in range(self.k)]
         for e, j in self.owner.items():
             sets[j].add(e)
+        endpoints = self.graph.endpoints
+        for j, s in enumerate(sets):
+            if _spanning_forest_size(endpoints[e] for e in s) != len(s):
+                raise AssertionError(f"internal error: forest {j} acquired a cycle")
         return tuple(frozenset(s) for s in sets)
 
     def snapshot(self) -> int:
@@ -167,7 +179,9 @@ class _ForestPartition:
         """Cover eid, rearranging as needed.
 
         Returns (True, None) on success. On failure returns (False, L) where
-        L is the reached label set; L always satisfies |L| > k * r(L).
+        L is the reached label set: eid and owned edges only, with
+        |L| > k * r(L), both checked here (raised, not asserted, so python -O
+        keeps them).
         """
         endpoints = self.graph.endpoints
         parent: dict[int, int | None] = {eid: None}
@@ -190,53 +204,29 @@ class _ForestPartition:
                     if g not in parent:
                         parent[g] = f
                         queue.append(g)
+        # a label outside owner is an edge that the parent pointers hold and
+        # owner does not
+        owner = self.owner
+        rank = _spanning_forest_size(endpoints[f] for f in parent)
+        if len(parent) <= self.k * rank or any(f != eid and f not in owner for f in parent):
+            raise AssertionError(f"internal error: label set of edge {eid} is no violation")
         return False, frozenset(parent)
 
     def _apply_chain(self, parent: dict[int, int | None], last: int, slot: int) -> None:
         # walk from the slot end back to the new element, the only unowned
-        # element of the chain, logging each move as it is made
+        # element of the chain, logging each move as it is made; _add
+        # refuses a move that would close a cycle in the pointers, and
+        # forest_sets() counts owner whenever a caller reads it
         x, target = last, slot
-        touched = {slot}
         while True:
             prev = self.owner.get(x)
             self.log.append((x, prev, target))
             if prev is not None:
                 self._remove(prev, x)
-                touched.add(prev)
             self._add(target, x)
             if prev is None:
                 break
             x, target = parent[x], prev
-        for j in touched:
-            self._assert_forest(j)
-
-    def _assert_forest(self, j: int) -> None:
-        # every edge owner assigns to forest j, a loop included, must join
-        # two different components of the edges before it; raised, not
-        # asserted, so python -O keeps the check. It reads owner, not the
-        # parent pointers that the circuits come from, so a fault in their
-        # upkeep cannot vouch for itself. It runs its own union-find rather
-        # than call graphs._spanning_forest_size: building the pairs for that
-        # call cost about 6% on partition and bounded-search calls in an
-        # interleaved A/B, and a cross-module call on every augmentation is
-        # one more span in a traced bench run
-        endpoints = self.graph.endpoints
-        parent: dict[int, int] = {}
-        for e, owner in self.owner.items():
-            if owner != j:
-                continue
-            u, v = endpoints[e]
-            # path halving keeps the finds short on deep chains, a star
-            # linked leaf by leaf among them
-            while u in parent:
-                p = parent[u]
-                parent[u] = u = parent.get(p, p)
-            while v in parent:
-                p = parent[v]
-                parent[v] = v = parent.get(p, p)
-            if u == v:
-                raise AssertionError(f"internal error: forest {j} acquired a cycle")
-            parent[u] = v
 
 
 def matroid_partition(
@@ -263,7 +253,7 @@ def matroid_partition(
 def union_rank(graph: Graph, k: int, subset: Iterable[int]) -> int:
     """Rank of the subset in the k-fold union of the cycle matroid."""
     part, _, _ = matroid_partition(graph, k, subset)
-    return len(part.owner)
+    return sum(map(len, part.forest_sets()))
 
 
 def _bit_lanes(count: int, bit: int) -> int:

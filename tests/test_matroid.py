@@ -214,11 +214,32 @@ def test_forest_check_raises_on_planted_cycle(graph, k, planted, insert, placed)
     assert {e: part.owner[e] for e in placed} == placed
     part.restore(mark)
     # _add refuses the closing edge, so it goes in through owner alone: the
-    # parent pointers never see it, and the check over owner that follows
-    # the augmentation is what must catch it
+    # parent pointers never see it, so the insertion still succeeds, and
+    # the count of owner as forest_sets() reads it is what must catch it
     part.owner[closing] = planted[closing]
+    assert part.try_insert(insert) == (True, None)
+    assert {e: part.owner[e] for e in placed} == placed
     with pytest.raises(AssertionError, match="acquired a cycle"):
-        part.try_insert(insert)
+        part.forest_sets()
+
+
+@pytest.mark.parametrize("k, adds, stale", [
+    # a stale pointer: edge 0 leaves owner but stays in forest 0's
+    # pointers, so the search for edge 1 labels an unowned edge; L = {0, 1}
+    # does satisfy |L| > k * r(L), so only the owner test fails
+    (1, ((0, 0),), (0,)),
+    # edge 0 in the pointers of both forests: the search for edge 1 fails
+    # with L = {0, 1}, all owned, but two parallel edges fit in 2 forests
+    (2, ((1, 0), (0, 0)), ()),
+])
+def test_label_check_raises_on_planted_non_violation(k, adds, stale):
+    part = _ForestPartition(Graph(2, ((0, 1), (0, 1))), k)
+    for j, e in adds:
+        part._add(j, e)
+    for e in stale:
+        del part.owner[e]
+    with pytest.raises(AssertionError, match="label set of edge 1 is no violation"):
+        part.try_insert(1)
 
 
 @pytest.mark.parametrize("graph, forest, closing", [
@@ -268,15 +289,15 @@ def _bfs_forest_path(graph, forest, source, target):
 
 
 @st.composite
-def loop_free_multigraphs(draw):
-    """2 to 6 vertices and up to 12 edges, parallel edges allowed."""
-    n = draw(st.integers(2, 6))
-    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
-    return Graph(n, tuple(map(tuple, draw(st.lists(pair, max_size=12)))))
+def multigraphs(draw):
+    """1 to 6 vertices and up to 12 edges, loops and parallel edges allowed."""
+    n = draw(st.integers(1, 6))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return Graph(n, tuple(draw(st.lists(pair, max_size=12))))
 
 
 @settings(max_examples=300, deadline=None)
-@given(loop_free_multigraphs(), st.integers(1, 3), st.data())
+@given(multigraphs(), st.integers(0, 3), st.data())
 def test_forest_partition_paths_and_undo_on_random_runs(graph, k, data):
     part = _ForestPartition(graph, k)
     marks = [(part.snapshot(), part.forest_sets())]
@@ -287,7 +308,12 @@ def test_forest_partition_paths_and_undo_on_random_runs(graph, k, data):
         if op == "insert":
             free = [e for e in graph.edge_ids() if e not in part.owner]
             if free:
-                part.try_insert(data.draw(st.sampled_from(free)))
+                e = data.draw(st.sampled_from(free))
+                ok, label = part.try_insert(e)
+                # a loop fails with L = {e} and r = 0; at k = 0 every edge fails
+                if not ok:
+                    assert e in label and label - {e} <= part.owner.keys()
+                    assert len(label) > k * subgraph_rank(graph, label)
         elif op == "snapshot":
             marks.append((part.snapshot(), part.forest_sets()))
         else:
