@@ -11,7 +11,8 @@ and backtracking restores the partition to a mark in its undo log. A forest
 remainder lives in a one-forest _ForestPartition of its own: an edge may join
 it when its endpoints climb that forest's parent pointers to two different
 roots, and is added and removed directly, with no augmentation. A graph
-remainder needs only its degree counts.
+remainder needs only its degree counts. The remainder itself is never
+listed: at a leaf it is every edge the k-forest engine does not own.
 
 Both searches, and the domination search, keep their branch points on a list
 rather than the interpreter's stack, so no input depth can overrun its
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .arboricity import _edges_within, _peel, _touched_pairs
-from .graphs import Graph, _spanning_forest_size, check_edge_subset
+from .graphs import Graph, check_edge_subset, graph_stats
 from .limits import BOUNDED_SEARCH_DEFAULT, check_gate
 from .matroid import _ForestPartition, matroid_partition
 
@@ -210,7 +211,6 @@ def decompose_forests_bounded(graph: Graph, k: int, d: int, kind: str) -> Decomp
     order = _edge_priority(graph)
     part = _ForestPartition(graph, k)
     deg_rem = [0] * graph.vertex_count
-    remainder: list[int] = []
     forest_rem = _ForestPartition(graph, 1) if kind == "forest" else None
 
     def branch(idx: int) -> Iterator[int]:
@@ -224,7 +224,6 @@ def decompose_forests_bounded(graph: Graph, k: int, d: int, kind: str) -> Decomp
         if deg_rem[u] < d and deg_rem[v] < d and (
             forest_rem is None or forest_rem._forest_path(0, u, v) is None
         ):
-            remainder.append(e)
             deg_rem[u] += 1
             deg_rem[v] += 1
             if forest_rem is not None:
@@ -234,7 +233,6 @@ def decompose_forests_bounded(graph: Graph, k: int, d: int, kind: str) -> Decomp
                 forest_rem._remove(0, e)
             deg_rem[u] -= 1
             deg_rem[v] -= 1
-            remainder.pop()
 
     frames: list[Iterator[int]] = [iter((0,))]
     while frames:
@@ -244,7 +242,8 @@ def decompose_forests_bounded(graph: Graph, k: int, d: int, kind: str) -> Decomp
         elif idx == len(order):
             return Decomposition(
                 forests=part.forest_sets(),
-                remainder=frozenset(remainder),
+                # .difference, not -, keeps it a frozenset
+                remainder=graph.full_edge_set().difference(part.owner),
                 kind=kind,
                 degree_bound=d,
             )
@@ -258,8 +257,9 @@ def verify_decomposition(
 ) -> tuple[bool, str | None]:
     """Re-check every clause from scratch; returns the first violated one.
 
-    Trusts nothing from the solver: disjointness, coverage, acyclicity of
-    each forest, and the remainder-kind condition are all recomputed.
+    Trusts nothing from the solver: disjointness and coverage are recomputed
+    from the union of the parts, and each part's acyclicity, matching flag
+    and largest degree are read from graph_stats.
     """
     dec = decomposition
     if dec.kind not in REMAINDER_KINDS:
@@ -271,36 +271,24 @@ def verify_decomposition(
         rem = check_edge_subset(graph, dec.remainder)
     except ValueError as exc:
         return False, str(exc)
-    total = 0
-    union: set[int] = set()
-    for p in parts:
-        total += len(p)
-        union |= p
-    total += len(rem)
-    union |= rem
-    if total != len(union):
+    union = rem.union(*parts)
+    if len(rem) + sum(map(len, parts)) != len(union):
         return False, "parts not disjoint"
     if union != graph.full_edge_set():
         return False, "parts do not cover all edges"
-    ends = graph.endpoints
     for i, p in enumerate(parts):
-        if _spanning_forest_size(ends[e] for e in p) != len(p):
+        if not graph_stats(graph, p).is_forest:
             return False, f"forest {i} contains a cycle"
-    # a loop counts twice at its vertex, so no matching holds one
-    degs: dict[int, int] = {}
-    for e in rem:
-        u, v = ends[e]
-        degs[u] = degs.get(u, 0) + 1
-        degs[v] = degs.get(v, 0) + 1
+    stats = graph_stats(graph, rem)
     if dec.kind == "matching":
-        if any(c > 1 for c in degs.values()):
+        if not stats.is_matching:
             return False, "remainder is not a matching"
         return True, None
     bound = d if d is not None else dec.degree_bound
     if bound is None:
         return False, "missing degree bound for the remainder"
-    if any(c > bound for c in degs.values()):
+    if stats.max_degree > bound:
         return False, f"remainder degree exceeds {bound}"
-    if dec.kind == "forest" and _spanning_forest_size(ends[e] for e in rem) != len(rem):
+    if dec.kind == "forest" and not stats.is_forest:
         return False, "remainder contains a cycle"
     return True, None

@@ -65,11 +65,13 @@ class Graph:
 
 @dataclass(frozen=True)
 class GraphStats:
-    """Summary of the subgraph induced by an edge subset."""
+    """Summary of the subgraph induced by an edge subset: vertex count,
+    component count, smallest and largest degree, matching and forest flags."""
 
     n: int
     c: int
     min_degree: int
+    max_degree: int
     is_matching: bool
     is_forest: bool
 
@@ -102,11 +104,12 @@ def _spanning_forest_size(pairs: Iterable[tuple[int, int]]) -> int:
 
 
 def graph_stats(graph: Graph, subset: Iterable[int]) -> GraphStats:
-    """n, c, min degree, matching/forest flags of the edge-induced subgraph.
+    """n, c, min and max degree, matching/forest flags of the edge-induced
+    subgraph.
 
-    min_degree is over the vertices the subset touches (0 for the empty
-    subset). The empty subset counts as both a matching and a forest; a loop
-    gives its vertex degree 2, so it is neither.
+    min_degree and max_degree are over the vertices the subset touches (0
+    for the empty subset). The empty subset counts as both a matching and a
+    forest; a loop gives its vertex degree 2, so it is neither.
     """
     edges = check_edge_subset(graph, subset)
     pairs = [graph.endpoints[e] for e in edges]
@@ -116,11 +119,13 @@ def graph_stats(graph: Graph, subset: Iterable[int]) -> GraphStats:
         deg[v] = deg.get(v, 0) + 1
     n = len(deg)
     forest = _spanning_forest_size(pairs)
+    top = max(deg.values(), default=0)
     return GraphStats(
         n=n,
         c=n - forest,
         min_degree=min(deg.values(), default=0),
-        is_matching=all(d <= 1 for d in deg.values()),
+        max_degree=top,
+        is_matching=top <= 1,
         is_forest=forest == len(edges),
     )
 

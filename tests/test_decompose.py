@@ -223,6 +223,9 @@ def test_remainder_witness_against_brute(graph, k, kind, d):
     else:
         dec = decompose_forests_bounded(graph, k, d, kind)
     assert (dec is not None) == exists
+    if dec is not None:
+        assert brute_decomposition_ok(graph, dec, k, d)
+        hash(dec)  # a set remainder would raise TypeError here
 
 
 FROZEN_BASE_SEED = 8675309

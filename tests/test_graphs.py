@@ -136,6 +136,7 @@ def test_stats_and_cycle_rank_match_the_definitions(case):
     assert s.n == len(deg)
     assert s.c == len(deg) - rank
     assert s.min_degree == (min(deg.values()) if deg else 0)
+    assert s.max_degree == max(deg.values(), default=0)
     # a matching's edges touch two vertices each, and no vertex twice
     assert s.is_matching == (len(deg) == 2 * len(subset))
     assert s.is_forest == (rank == len(subset))
