@@ -24,10 +24,12 @@ each state that needs one and pops the generators that return -1.
 
 Both searches first ask remainder_witness for a vertex set with more edges
 than k forests and the remainder can hold inside it; such a set settles the
-answer before any search. A None return means EXHAUSTED: no decomposition
-exists at this (k, remainder) combination, proved by that set or by
-enumerating the whole search space. That is a statement about this instance,
-not about any threshold.
+answer before any search. The bounded search checks its size gate only
+after that: the gate guards the exhaustive search alone, so an instance past
+it that a witness settles gets None, not DeskScaleExceeded. A None return
+means EXHAUSTED: no decomposition exists at this (k, remainder) combination,
+proved by that set or by enumerating the whole search space. That is a
+statement about this instance, not about any threshold.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .arboricity import _edges_within, _peel, _touched_pairs
-from .graphs import Graph, check_edge_subset, graph_stats
+from .graphs import Graph, graph_stats
 from .limits import BOUNDED_SEARCH_DEFAULT, check_gate
 from .matroid import _ForestPartition, matroid_partition
 
@@ -139,14 +141,6 @@ def check_remainder(kind: str, d: int | None) -> None:
         raise ValueError(f"a {kind} remainder needs a degree bound d >= 1")
 
 
-def _check_request(graph: Graph, k: int, kind: str, d: int | None) -> None:
-    check_remainder(kind, d)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if graph.has_loop():
-        raise ValueError("decomposition requires a loop-free graph")
-
-
 def remainder_witness(
     graph: Graph, k: int, kind: str, d: int | None = None
 ) -> frozenset[int] | None:
@@ -160,7 +154,11 @@ def remainder_witness(
     to the lowest vertex; None decides nothing. The witness is re-counted on
     the graph before it is returned.
     """
-    _check_request(graph, k, kind, d)
+    check_remainder(kind, d)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if graph.has_loop():
+        raise ValueError("decomposition requires a loop-free graph")
     used, pairs = _touched_pairs(graph)
     limit = [k * (s - 1) + _remainder_cap(kind, d, s) for s in range(len(used) + 1)]
     peeled = set()  # with the first set's v = -1, which is no vertex
@@ -201,13 +199,13 @@ def decompose_forests_matching(graph: Graph, k: int) -> Decomposition | None:
 def decompose_forests_bounded(graph: Graph, k: int, d: int, kind: str) -> Decomposition | None:
     """k forests plus a max-degree-d remainder (a forest or an arbitrary
     graph, per kind). None means a counting witness rules it out or the
-    assignment search is exhausted."""
+    assignment search is exhausted. The witness is asked first, so the size
+    gate (DeskScaleExceeded) refuses only an instance it does not settle."""
     if kind not in ("forest", "graph"):
         raise ValueError(f"kind must be 'forest' or 'graph', got {kind!r}")
-    _check_request(graph, k, kind, d)
-    check_gate(graph.edge_count, BOUNDED_SEARCH_DEFAULT, "decompose_forests_bounded")
     if remainder_witness(graph, k, kind, d) is not None:
         return None
+    check_gate(graph.edge_count, BOUNDED_SEARCH_DEFAULT, "decompose_forests_bounded")
     order = _edge_priority(graph)
     part = _ForestPartition(graph, k)
     deg_rem = [0] * graph.vertex_count
@@ -259,27 +257,28 @@ def verify_decomposition(
 
     Trusts nothing from the solver: disjointness and coverage are recomputed
     from the union of the parts, and each part's acyclicity, matching flag
-    and largest degree are read from graph_stats.
+    and largest degree are read from graph_stats. The one graph_stats call
+    per part is also the one edge-id check, and it runs on every part before
+    any later clause, so a bad id is reported first.
     """
     dec = decomposition
     if dec.kind not in REMAINDER_KINDS:
         return False, f"unknown remainder kind {dec.kind!r}"
     if len(dec.forests) != k:
         return False, f"expected {k} forests, got {len(dec.forests)}"
+    parts = (*dec.forests, dec.remainder)
     try:
-        parts = [check_edge_subset(graph, f) for f in dec.forests]
-        rem = check_edge_subset(graph, dec.remainder)
+        *forest_stats, stats = [graph_stats(graph, p) for p in parts]
     except ValueError as exc:
         return False, str(exc)
-    union = rem.union(*parts)
-    if len(rem) + sum(map(len, parts)) != len(union):
+    union = frozenset().union(*parts)
+    if sum(map(len, parts)) != len(union):
         return False, "parts not disjoint"
     if union != graph.full_edge_set():
         return False, "parts do not cover all edges"
-    for i, p in enumerate(parts):
-        if not graph_stats(graph, p).is_forest:
+    for i, s in enumerate(forest_stats):
+        if not s.is_forest:
             return False, f"forest {i} contains a cycle"
-    stats = graph_stats(graph, rem)
     if dec.kind == "matching":
         if not stats.is_matching:
             return False, "remainder is not a matching"

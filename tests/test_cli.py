@@ -306,6 +306,16 @@ def test_decompose_graph_remainder_gate_exit(graph_file, capsys, monkeypatch):
     assert "desk-scale limit" in captured.err
 
 
+def test_decompose_witness_answers_past_the_gate(graph_file, capsys, monkeypatch):
+    # 28 edges, past the gate, but the counting witness settles the answer
+    monkeypatch.delenv("ARBORKIT_MAX_EDGES", raising=False)
+    f = graph_file("k8.txt", complete_graph(8))
+    assert main(["decompose", f, "--k", "1", "--remainder", "graph", "--d", "1", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["witness"] == [0, 1, 2, 3, 4, 5, 6, 7]
+    assert captured.err == ""
+
+
 def test_decompose_deep_path_answers(graph_file, capsys, monkeypatch):
     # past a raised gate the bounded search answers; no search recurses
     monkeypatch.setenv("ARBORKIT_MAX_EDGES", "1500")

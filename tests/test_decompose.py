@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import arborkit.decompose
+import arborkit.graphs
 from arborkit import (
     Decomposition,
     DeskScaleExceeded,
@@ -160,6 +162,41 @@ def test_bounded_decomposition_forest_gate(monkeypatch):
     for kind in ("forest", "graph"):
         with pytest.raises(DeskScaleExceeded):
             decompose_forests_bounded(long_path, 1, 1, kind)
+
+
+def test_bounded_decomposition_asks_the_witness_before_the_gate(monkeypatch):
+    monkeypatch.delenv("ARBORKIT_MAX_EDGES", raising=False)
+    # K8 has 28 edges, past the gate, but at k = 1 and d = 1 its eight
+    # vertices hold at most 7 + 4 of them: the witness answers, no search runs
+    for kind in ("graph", "forest"):
+        assert decompose_forests_bounded(complete_graph(8), 1, 1, kind) is None
+
+
+def test_each_check_runs_once(monkeypatch):
+    calls = {"request": 0, "ids": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    check_edge_subset = arborkit.graphs.check_edge_subset
+    monkeypatch.setattr(arborkit.decompose, "check_remainder",
+                        counted("request", arborkit.decompose.check_remainder))
+    monkeypatch.setattr(arborkit.graphs, "check_edge_subset", counted("ids", check_edge_subset))
+    monkeypatch.setattr(arborkit.decompose, "check_edge_subset", counted("ids", check_edge_subset),
+                        raising=False)
+
+    assert decompose_forests_bounded(cycle(4), 1, 1, "graph") is not None
+    assert calls["request"] == 1
+
+    calls["ids"] = 0
+    # K4: a star at 0, the path 2 1 3, and the edge 2 3
+    dec = Decomposition(forests=(frozenset({0, 1, 2}), frozenset({3, 4})), remainder=frozenset({5}),
+                        kind="matching")
+    assert verify_decomposition(complete_graph(4), dec, 2) == (True, None)
+    assert calls["ids"] == 3
 
 
 @pytest.mark.parametrize("kind", ["graph", "forest"])
@@ -433,6 +470,18 @@ def test_verify_decomposition_clauses():
 
     good = Decomposition(forests=(frozenset({0}),), remainder=frozenset({1}), kind="matching")
     assert verify_decomposition(p3, good, 1) == (True, None)
+
+    # two clauses broken at once: the earlier clause is the one reported
+    bad = Decomposition(forests=(frozenset({0, 1, 9}),), remainder=frozenset({1, 2}), kind="matching")
+    assert verify_decomposition(tri, bad, 1) == (False, "edge id 9 not in 0..2")
+    bad = Decomposition(forests=(frozenset({0, 1}),), remainder=frozenset({1}), kind="matching")
+    assert verify_decomposition(tri, bad, 1) == (False, "parts not disjoint")
+    # a triangle 0 1 2 with the tail 2 3 4
+    tailed = Graph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4)))
+    bad = Decomposition(forests=(frozenset({0, 1, 2}),), remainder=frozenset({3}), kind="matching")
+    assert verify_decomposition(tailed, bad, 1) == (False, "parts do not cover all edges")
+    bad = Decomposition(forests=(frozenset({0, 1, 2}),), remainder=frozenset({3, 4}), kind="matching")
+    assert verify_decomposition(tailed, bad, 1) == (False, "forest 0 contains a cycle")
 
     wrong_k = verify_decomposition(p3, good, 2)
     assert wrong_k == (False, "expected 2 forests, got 1")

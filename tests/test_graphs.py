@@ -164,6 +164,8 @@ def test_parse_accepts_loops_and_parallel_edges():
         ("2 1\n0 5\n", 2),
         ("2 1\n0 1\n1 0\n", 3),
         ("", 1),
+        # only a whole line is a comment
+        ("2 1\n0 1 # c\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
