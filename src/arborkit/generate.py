@@ -33,21 +33,26 @@ with the shuffle's offset i added; otherwise the block goes output by
 output and skips one at or above its position's limit as below() does. So
 every graph and attempt count is the one the scalar stream gives.
 
-Most draws never reach the peel. A draw's m edges meet the limit of the
-whole vertex set exactly, so the peel's first step, which removes a vertex
-v of least degree, leaves n - 1 vertices over their limit exactly when
-deg(v) < t = m - floor(p (n - 2) / q). Two masks over the draw's pair
-masks, the vertices touched at least once and at least twice (parallel
-edges count twice, as in the peel), reject each draw with a vertex of
-degree below min(t, 2) before the peel. A vertex of degree 0 always
-qualifies, as GenSpec asks for bound >= 1: m >= floor(p (n - 2) / q) + 1,
-so t >= 1. (At n = 2 the one-vertex set that the peel's first step leaves
-has no edge, so it is never over its limit 0, and there both vertices have
-degree m = t.)
+Most draws never reach the peel. Two masks over the draw's pair masks, the
+vertices touched at least once and at least twice (parallel edges count
+twice, as in the peel), give the vertices of degree 0 and the number a of
+degree 1. A draw's m edges meet the limit of the whole vertex set exactly,
+m = floor(p (n - 1) / q), and GenSpec asks for bound >= 1, so
+m > floor(p (n - 2) / q): a vertex of degree 0, which the peel's first step
+removes, leaves n - 1 vertices over their limit. While a vertex of degree 1
+is live, which holds for the peel's first j <= a steps, each step removes a
+vertex of live degree at most 1, so the n - j vertices left after j steps
+keep at least m - j edges, and the peel rejects there when
+m - j > floor(p (n - j - 1) / q). So a draw is rejected before the peel
+when some vertex has degree 0 or when a >= j*, the least such j in
+1..n - 1 (never, when there is none): only draws the peel rejects. j* = 1
+exactly when m - floor(p (n - 2) / q) > 1, where one vertex of degree 1
+settles the draw; at the theorem5 bound 6/5 with n = 12 (m = 13), j* = 2.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -139,6 +144,8 @@ class GenSpec:
             m = int(self.target_bound * (self.n - 1))
             if not self.allow_parallel and m > self.n * (self.n - 1) // 2:
                 raise ValueError(f"{m} edges do not fit in a simple graph on {self.n} vertices")
+            if self.allow_parallel and 2 * m > sys.maxsize:
+                raise ValueError(f"{m} edges need {2 * m} draw values, more than a list can index")
 
 
 class GenerationError(RuntimeError):
@@ -210,9 +217,9 @@ def generate(spec: GenSpec) -> Graph:
     m = int(spec.target_bound * (n - 1))
     pair_of, picks, spans, limits, offsets = _draw_tables(n, m, spec.allow_parallel)
     density = _density_limits(n, *spec.target_bound.as_integer_ratio())
-    # the peel's first step rejects a draw exactly when some vertex has
-    # degree below t (see the module docstring); t >= 1
-    t = m - density[n - 1]
+    # the peel rejects a draw with j_star or more degree-1 vertices by its
+    # j_star-th step (see the module docstring); n + 1 when no step does
+    j_star = next((j for j in range(1, n) if m - j > density[n - j]), n + 1)
     full = (1 << n) - 1
     rng = SplitMix64(spec.seed)
     values: list[int] = []
@@ -240,8 +247,8 @@ def generate(spec: GenSpec) -> Graph:
                 once |= drawn[j]  # the pair step i takes
                 drawn[i], drawn[j] = drawn[j], drawn[i]
             del drawn[m:]
-        # a vertex of degree below min(t, 2)
-        if once != full or (t > 1 and _twice(drawn) != full):
+        # a vertex of degree 0, or j_star of degree 1
+        if once != full or n - _twice(drawn).bit_count() >= j_star:
             continue
         edges = list(map(pair_of.__getitem__, drawn))
         if all(inside <= density[size] for size, inside, _, _ in _peel(n, edges)):

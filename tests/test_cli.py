@@ -423,6 +423,10 @@ def test_gen_errors(capsys):
     # a decimal bound is not a rational literal: usage error
     assert main(["gen", "--n", "5", "--bound", "1.5", "--seed", "0", "-o", "-"]) == 2
     assert "not a rational literal: '1.5'" in capsys.readouterr().err
+    # a multigraph whose 2m draw values no list can index: usage error, not a traceback
+    argv = ["gen", "--n", "4", "--bound", "99999999999999999999", "--seed", "1", "-o", "-", "--parallel-edges"]
+    assert main(argv) == 2
+    assert "more than a list can index" in capsys.readouterr().err
     # exhausted rejection budget: negative result
     rc = main(
         ["gen", "--n", "6", "--bound", "6/5", "--seed", "0", "--max-rejections", "1", "-o", "-"]
@@ -518,6 +522,12 @@ def test_experiment_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: not an integer or lo:hi span: '1:x'\n"
+    argv = ["experiment", "--selector", "custom", "--bound", "99999999999999999999", "--n-range", "4",
+            "--trials", "1", "--seed", "0", "--parallel-edges"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "more than a list can index" in captured.err
 
 
 def test_unknown_command_usage_error():

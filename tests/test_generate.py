@@ -1,9 +1,10 @@
 import hashlib
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from arborkit import (
     GenerationError,
@@ -86,6 +87,14 @@ def test_genspec_validation():
         GenSpec(n=6, target_bound=1.2, seed=0)
     # bounds below 1 are fine when no edges can exist
     GenSpec(n=1, target_bound=Fraction(1, 2))
+
+
+def test_genspec_refuses_more_draw_values_than_a_list_indexes():
+    # a multigraph draw reads 2m values; past sys.maxsize no list holds them
+    for n, bound in ((4, Fraction(99999999999999999999)), (2, Fraction(sys.maxsize // 2 + 1))):
+        with pytest.raises(ValueError, match="draw values"):
+            GenSpec(n=n, target_bound=bound, allow_parallel=True)
+    GenSpec(n=2, target_bound=Fraction(sys.maxsize // 2), allow_parallel=True)
 
 
 def test_trivial_sizes():
@@ -296,3 +305,78 @@ def test_a_low_degree_vertex_makes_the_peel_reject(drawn):
     n, bound, edges = drawn
     limit = _density_limits(n, *bound.as_integer_ratio())
     assert any(inside > limit[size] for size, inside, _, _ in _peel(n, edges))
+
+
+def _first_rejecting_step(n, bound):
+    """j*: the least j in 1..n - 1 with m - j over the limit of n - j
+    vertices, m = int(bound (n - 1)); None when there is none."""
+    m = int(bound * (n - 1))
+    limit = _density_limits(n, *bound.as_integer_ratio())
+    return next((j for j in range(1, n) if m - j > limit[n - j]), None)
+
+
+@st.composite
+def draws_with_many_leaves(draw):
+    """(n, bound, edges): the m = int(bound (n - 1)) edges of a simple or a
+    multigraph draw, as sorted pairs of distinct vertices, with no vertex of
+    degree 0 and at least j* of degree 1."""
+    n = draw(st.integers(2, 12))
+    bound = draw(st.sampled_from(SAMPLER_BOUNDS + (Fraction(n, 2),)))
+    allow_parallel = draw(st.booleans())
+    m = int(bound * (n - 1))
+    j_star = _first_rejecting_step(n, bound)
+    assume(j_star is not None)
+    a = draw(st.integers(j_star, n))
+    order = draw(st.permutations(range(n)))
+    leaves, inner = order[:a], order[a:]
+    # `paired` pairs of leaves share an edge, each other leaf hangs off an
+    # inner vertex, and the edges left join inner vertices
+    paired = draw(st.integers(max(0, a - m), a // 2))
+    hung = leaves[2 * paired:]
+    assume(inner or not hung)
+    edges = [(leaves[2 * i], leaves[2 * i + 1]) for i in range(paired)]
+    edges += [(x, inner[i] if i < len(inner) else draw(st.sampled_from(inner))) for i, x in enumerate(hung)]
+    left = m - len(edges)
+    rest = [(u, v) for u in inner for v in inner if u < v]
+    assume(left == 0 or rest)
+    if allow_parallel:
+        edges += draw(st.lists(st.sampled_from(rest), min_size=left, max_size=left)) if left else []
+    else:
+        assume(left <= len(rest))
+        edges += draw(st.permutations(rest))[:left]
+    edges = [(min(u, v), max(u, v)) for u, v in edges]
+    degree = [sum(x in e for e in edges) for x in range(n)]
+    assume(0 not in degree)
+    assert len(edges) == m and degree.count(1) >= j_star
+    return n, bound, draw(st.permutations(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(draws_with_many_leaves())
+# theorem5 at n = 12 and theorem2ii at n = 6, where j* = 2: two leaves on a
+# cycle with one chord
+@example((12, Fraction(6, 5), [(0, 2), (1, 3), (2, 5)] + [(v, v + 1) for v in range(2, 11)] + [(2, 11)]))
+@example((6, Fraction(3, 2), [(0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (2, 5), (2, 4)]))
+def test_many_degree_one_vertices_make_the_peel_reject(drawn):
+    # generate() rejects such a draw on its two vertex masks, before the peel
+    n, bound, edges = drawn
+    limit = _density_limits(n, *bound.as_integer_ratio())
+    assert any(inside > limit[size] for size, inside, _, _ in _peel(n, edges))
+
+
+def test_most_draws_stop_before_the_peel(monkeypatch):
+    # theorem5 k = 1, n = 12 (j* = 2), first trial of the reference sweep at
+    # root seed 7: 5 draws reach the peel; a check on degree 0 alone sent 581
+    peels = []
+
+    def counted(n, edges):
+        peels.append(n)
+        return _peel(n, edges)
+
+    monkeypatch.setattr(sys.modules["arborkit.generate"], "_peel", counted)
+    g = generate(GenSpec(12, Fraction(6, 5), seed=derive_seed(7, 1, 12, 0)))
+    assert g.endpoints == (
+        (0, 4), (0, 11), (1, 5), (1, 11), (2, 3), (2, 6), (3, 10),
+        (4, 10), (5, 7), (5, 8), (6, 7), (8, 9), (9, 10),
+    )
+    assert len(peels) == 5
