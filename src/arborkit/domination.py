@@ -13,6 +13,11 @@ searches in decompose.py: each is a generator that adds its next candidate
 edge to the chosen set, yields the mask of vertices still undominated, and
 takes the edge back out when resumed. The driver loop pops a generator when
 next() returns the sentinel -1, since the empty mask 0 is a state of its own.
+
+Two lower bounds prove an optimum: undominated vertices whose candidate
+edges are pairwise disjoint need an edge each, and no edge covers more of
+them than the widest candidate covers of the whole target. Where the second
+meets greedy's size at the root, greedy is optimal and no branch opens.
 """
 
 from __future__ import annotations
@@ -52,17 +57,24 @@ def _bits(mask: int) -> list[int]:
 
 def _coverage(graph: Graph) -> tuple[list[int], list[int]]:
     """covers[e] = vertex mask dominated by edge e; dom[v] = edge mask
-    of the edges that dominate vertex v."""
+    of the edges that dominate vertex v.
+
+    Edge e dominates v exactly when e has an endpoint in the closed
+    neighbourhood N[v], so dom[v] is the OR of the incidence masks of N[v].
+    """
     n = graph.vertex_count
     closed = [1 << v for v in range(n)]
-    for u, v in graph.endpoints:
+    incident = [0] * n
+    for e, (u, v) in enumerate(graph.endpoints):
         closed[u] |= 1 << v
         closed[v] |= 1 << u
+        incident[u] |= 1 << e
+        incident[v] |= 1 << e
     covers = [closed[a] | closed[b] for a, b in graph.endpoints]
-    dom = [0] * n
-    for e, cov in enumerate(covers):
-        for v in _bits(cov):
-            dom[v] |= 1 << e
+    dom = list(incident)
+    for u, v in graph.endpoints:
+        dom[u] |= incident[v]
+        dom[v] |= incident[u]
     return covers, dom
 
 
@@ -93,6 +105,16 @@ def _edge_domination_core(covers: list[int], dom: list[int], want: int, edges):
     order of the ids, so a search on a restriction of a graph to some of its
     vertices and edges sees the same order as one on the restriction
     relabelled in increasing order.
+
+    widest is the number of want vertices covered by greedy's first pick,
+    the candidate covering the most of want. No candidate covers more of any
+    undom within want, so ceil(|undom| / widest) edges are needed: greedy is
+    returned at once when that bound meets its size, and lower_bound takes
+    the larger of it and the packing count. A stronger valid bound keeps the
+    witness. A node it prunes has chosen plus bound at least best_size, so
+    no leaf below holds a smaller set, and a weaker bound would have searched
+    that subtree without an improvement: both searches make the same
+    improvements in the same order.
     """
     if not want:
         return 0, ()
@@ -100,27 +122,36 @@ def _edge_domination_core(covers: list[int], dom: list[int], want: int, edges):
     if any(dom[v] == 0 for v in verts):
         return INFINITE, None
 
+    # greedy, widest first, the lowest id on a tie: edges is increasing
+    # and the scan keeps the first edge of the largest count
     greedy: list[int] = []
     undom = want
     while undom:
-        e = max(edges, key=lambda i: ((covers[i] & undom).bit_count(), -i))
-        greedy.append(e)
-        undom &= ~covers[e]
+        pick, most = -1, 0
+        for e in edges:
+            count = (covers[e] & undom).bit_count()
+            if count > most:
+                pick, most = e, count
+        greedy.append(pick)
+        undom &= ~covers[pick]
+    widest = (covers[greedy[0]] & want).bit_count()
     best_size = len(greedy)
     best_wit = tuple(sorted(greedy))
+    if -(-len(verts) // widest) >= best_size:
+        return best_size, best_wit
 
     packing_order = sorted(verts, key=lambda v: dom[v].bit_count())
 
     def lower_bound(undom: int) -> int:
         # vertices whose candidate edges are pairwise disjoint each
-        # need their own edge
+        # need their own edge, and no edge covers more than widest of them
         used = 0
         count = 0
         for v in packing_order:
             if undom >> v & 1 and dom[v] & used == 0:
                 count += 1
                 used |= dom[v]
-        return count
+        return max(count, -(-undom.bit_count() // widest))
 
     chosen: list[int] = []
 

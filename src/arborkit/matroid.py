@@ -356,8 +356,9 @@ def union_rank_table(graph: Graph, k: int) -> bytes:
                 pieces[j] = _lane_min(pieces[j], pieces[j - step] + ones, high)
     table = b"".join(piece.to_bytes(width, "little") for piece in pieces)
 
+    # past m forests every further one stays empty, so r_k(E) = r_min(k, m)(E)
     full = (1 << m) - 1
-    if table[full] != union_rank(graph, k, range(m)):
+    if table[full] != union_rank(graph, min(k, m), range(m)):
         raise AssertionError("internal error: union table disagrees with augmenting union_rank")
     return table
 

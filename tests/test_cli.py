@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -543,6 +544,26 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+def test_prooftrace_with_a_huge_k_stays_small(tmp_path):
+    # past m forests every further one stays empty, so the union table's
+    # cross-check builds min(k, m) of them; the address-space limit keeps a
+    # check that built all k from taking the machine's memory
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    f = tmp_path / "tri.txt"
+    f.write_text(serialize_graph(cycle(3)), encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    outs = [
+        subprocess.run([sys.executable, "-m", "arborkit", "prooftrace", str(f), "--k", k],
+                       env=env, preexec_fn=limit, capture_output=True, text=True, timeout=60)
+        for k in ("3", "99999999999999999999")
+    ]
+    assert [p.returncode for p in outs] == [0, 0], outs[1].stderr
+    assert outs[1].stdout == outs[0].stdout
 
 
 # ------------------------------------------------------------ exit-code fuzz

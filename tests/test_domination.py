@@ -15,7 +15,18 @@ from arborkit import (
     two_path_domination,
 )
 from arborkit import domination
-from helpers import complete_graph, cycle, path, star
+from helpers import (
+    complete_bipartite,
+    complete_graph,
+    cube,
+    cycle,
+    doubled_cycle,
+    path,
+    petersen,
+    prism,
+    star,
+    wheel,
+)
 from oracles import brute_dominates, brute_edge_domination, brute_two_path_domination
 
 
@@ -31,6 +42,42 @@ def test_edge_domination_frozen_values():
         assert res.value == want
         assert len(res.witness) == want
         assert dominates(g, res.witness)
+
+
+# (graph, edge_domination, two_path_domination) as (value, witness) pairs: a
+# named graph, or a graph of the multigraph corpus by its index there
+FROZEN_WITNESSES = [
+    (cycle(6), (2, (0, 2)), (2, ((0, 1, 2), (2, 3, 4)))),
+    (cycle(9), (3, (0, 4, 5)), (3, ((0, 1, 2), (1, 0, 8), (4, 5, 6)))),
+    (petersen(), (3, (0, 2, 3)), (3, ((0, 1, 2), (3, 2, 7), (8, 6, 9)))),
+    (cube(), (2, (0, 5)), (2, ((1, 0, 2), (4, 5, 7)))),
+    (prism(), (1, (6,)), (2, ((1, 0, 3), (2, 1, 4)))),
+    (wheel(5), (1, (0,)), (2, ((1, 0, 3), (1, 0, 4)))),
+    (complete_graph(4), (1, (0,)), (1, ((1, 0, 2),))),
+    (complete_bipartite(3, 3), (1, (0,)), (2, ((3, 0, 4), (3, 0, 5)))),
+    (doubled_cycle(4), (1, (0,)), (1, ((0, 1, 2),))),
+    (path(5), (2, (1, 2)), (1, ((1, 2, 3),))),
+    (path(8), (2, (1, 5)), (2, ((1, 2, 3), (4, 5, 6)))),
+    (star(4), (1, (0,)), (1, ((1, 0, 2),))),
+    (28, (1, (7,)), (3, ((0, 3, 7), (0, 8, 2), (3, 1, 9)))),
+    (41, (2, (0, 10)), (2, ((0, 7, 1), (1, 6, 2)))),
+    (67, (2, (2, 9)), (2, ((7, 2, 8), (4, 6, 5)))),
+    (79, (2, (5, 7)), (2, ((1, 0, 3), (6, 8, 7)))),
+    (144, (2, (6, 10)), (2, ((0, 3, 5), (2, 9, 7)))),
+    (162, (2, (3, 8)), (2, ((0, 9, 6), (4, 5, 7)))),
+    (178, (2, (2, 9)), (2, ((2, 1, 7), (8, 3, 9)))),
+    (196, (2, (3, 8)), (2, ((0, 9, 5), (2, 1, 3)))),
+]
+
+
+def test_domination_witnesses_frozen(multigraph_corpus):
+    # which optimum comes back, not only its size: a change to the greedy
+    # start, the bounds or the branch order of the search moves these
+    assert len(FROZEN_WITNESSES) == 20
+    for key, edge, two_path in FROZEN_WITNESSES:
+        g = multigraph_corpus[key] if isinstance(key, int) else key
+        got = [edge_domination(g), two_path_domination(g)]
+        assert [(r.value, r.witness) for r in got] == [edge, two_path], key
 
 
 def test_edge_domination_isolated_vertex():
@@ -123,6 +170,57 @@ def test_edge_domination_matches_brute_oracle(corpus):
         else:
             assert res.value == ref[0]
     assert checked > 50
+
+
+def test_the_coverage_bound_settles_cycles_at_the_root(monkeypatch):
+    # an edge of C6 or C9 covers 4 vertices and dominates 4 of the n
+    # vertices' candidate sets, so the packing bound is 1 on C6 and 2 on C9,
+    # one short of the optimum; ceil(6 / 4) = 2 and ceil(9 / 4) = 3 meet
+    # greedy, so the core scans want once and opens no branch point
+    bits, core = domination._bits, domination._edge_domination_core
+    calls, inside = [], []
+
+    def counted_bits(mask):
+        calls.append(mask)
+        return bits(mask)
+
+    def counted_core(*args):
+        calls.clear()
+        out = core(*args)
+        inside.append(len(calls))
+        return out
+
+    monkeypatch.setattr(domination, "_bits", counted_bits)
+    monkeypatch.setattr(domination, "_edge_domination_core", counted_core)
+    assert edge_domination(cycle(6)).value == 2
+    assert edge_domination(cycle(9)).value == 3
+    assert inside == [1, 1]
+
+
+@st.composite
+def multigraphs_without_isolated_vertices(draw):
+    """Loop-free multigraphs on 2..7 vertices in which every vertex has an
+    edge: drawn edges, then one more edge at each vertex still bare."""
+    n = draw(st.integers(2, 7))
+    vertex = st.integers(0, n - 1)
+    edges = [tuple(sorted(p)) for p in draw(st.lists(st.tuples(vertex, vertex), max_size=10))
+             if p[0] != p[1]]
+    for v in range(n):
+        if all(v not in e for e in edges):
+            w = draw(vertex.filter(lambda w: w != v))
+            edges.append((min(v, w), max(v, w)))
+    return Graph(n, tuple(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs_without_isolated_vertices())
+def test_coverage_bound_holds_against_brute(g):
+    closed = [{v} for v in range(g.vertex_count)]
+    for u, v in g.endpoints:
+        closed[u].add(v)
+        closed[v].add(u)
+    widest = max(len(closed[u] | closed[v]) for u, v in g.endpoints)
+    assert brute_edge_domination(g)[0] >= -(-g.vertex_count // widest)
 
 
 def test_two_path_frozen_values():
